@@ -20,8 +20,43 @@ seed_sweep() {
     done
 }
 
+# CAS2 register gate: the native `lock cmpxchg16b` asm parks the new low
+# word in RBX around the instruction, so no other operand may live in RBX
+# or BL. Disassembles every executable in DIR and fails on a CMPXCHG16B
+# addressed through RBX or a `sete %bl` right after one.
+# Usage: cas2_register_gate DIR
+cas2_register_gate() {
+    local dir=$1 bin hits bad=0
+    if ! command -v objdump >/dev/null 2>&1; then
+        echo "    (objdump not installed; CAS2 register gate skipped)"
+        return 0
+    fi
+    for bin in "$dir"/*; do
+        [ -f "$bin" ] && [ -x "$bin" ] || continue
+        hits=$(objdump -d --no-show-raw-insn "$bin" | awk '
+            after && /sete +%bl/ { print "  sete %bl after cmpxchg16b:" $0 }
+            { after = 0 }
+            /cmpxchg16b/ {
+                after = 1
+                if ($0 ~ /cmpxchg16b[^(]*\(%rbx/) print "  operand in %rbx:" $0
+            }')
+        if [ -n "$hits" ]; then
+            echo "$bin"
+            echo "$hits" | head -5
+            bad=1
+        fi
+    done
+    if [ "$bad" -ne 0 ]; then
+        echo "cmpxchg16b sites use the register the asm clobbers"
+        return 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> CAS2 register gate (release bins)"
+cas2_register_gate target/release
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
@@ -57,6 +92,10 @@ cargo test -p lcrq-core -q wcq
 cargo test --test linearizability -q wcq
 cargo test --test progress -q wcq
 cargo test --features fault-injection --test wcq_records -q
+# Release builds are where the CAS2 register allocation bit (see the
+# CAS2 register gate): the helping protocol's CAS2 sites run optimized too.
+cargo test --release -p lcrq-core -q wcq
+cargo test --release --features fault-injection --test wcq_records -q
 cargo test --features fault-injection --test progress -q step_bound
 seed_sweep "wcq stall sweep" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \
     --features fault-injection --test progress -q \

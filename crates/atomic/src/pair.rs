@@ -212,19 +212,24 @@ mod native {
         // SAFETY: `ptr` comes from a 16-byte-aligned `AtomicPair`.
         // CMPXCHG16B compares RDX:RAX with the memory operand and, if equal,
         // stores RCX:RBX. LLVM reserves RBX, so we stash the low new word via
-        // a scratch register around the instruction.
+        // a scratch register around the instruction. Every other operand is
+        // pinned: a `reg`/`reg_byte` operand may be allocated to RBX/BL,
+        // which the swap clobbers — the address would then be the new low
+        // word and the flag byte would be overwritten by the restore. The
+        // flag is read into CL after RBX is restored (`mov` keeps ZF), the
+        // same shape as portable-atomic's CMPXCHG16B.
         unsafe {
             core::arch::asm!(
                 "xchg rbx, {new_lo}",
-                "lock cmpxchg16b [{ptr}]",
-                "sete {ok}",
+                "lock cmpxchg16b [rdi]",
                 "mov rbx, {new_lo}",
-                ptr = in(reg) ptr,
+                "sete cl",
                 new_lo = inout(reg) new_lo => _,
-                ok = out(reg_byte) ok,
+                in("rdi") ptr,
                 inout("rax") old_lo => res_lo,
                 inout("rdx") old_hi => res_hi,
                 in("rcx") new_hi,
+                lateout("cl") ok,
                 options(nostack),
             );
         }

@@ -23,10 +23,8 @@
 //! racing crossbeam's channel algorithm) plus a classic `Mutex<VecDeque>`
 //! and the chaoran `faa` synthetic, which emulates both operations with a
 //! single fetch-and-add and upper-bounds what any real queue on the F&A
-//! hot path can reach. The genuine `crossbeam-channel` /
-//! `crossbeam-queue` adapters are feature-gated behind `crossbeam`
-//! (re-add the commented dev-dependencies in `crates/bench/Cargo.toml` on
-//! a networked host, same workflow as the root `proptest` feature).
+//! hot path can reach. Adapters for the genuine crossbeam crates need a
+//! registry download; EXPERIMENTS.md says how to add them.
 //!
 //! ## Delivery validation
 //!
@@ -181,84 +179,6 @@ impl Contender for FaaBound {
     }
 }
 
-/// Adapters for the real crossbeam crates. Compiled only with the
-/// `crossbeam` feature; enabling it requires re-adding the commented
-/// optional dependencies in `crates/bench/Cargo.toml` on a networked host
-/// (the default build must resolve offline — see DESIGN.md "Offline
-/// build").
-#[cfg(feature = "crossbeam")]
-pub mod crossbeam_adapters {
-    use super::{Contender, Mutex};
-
-    /// `crossbeam_channel::unbounded` (natively MPMC — no receiver lock).
-    pub struct CbChannel {
-        tx: crossbeam_channel::Sender<u64>,
-        rx: crossbeam_channel::Receiver<u64>,
-    }
-
-    impl Default for CbChannel {
-        fn default() -> Self {
-            let (tx, rx) = crossbeam_channel::unbounded();
-            Self { tx, rx }
-        }
-    }
-
-    impl Contender for CbChannel {
-        fn enqueue(&self, value: u64) {
-            self.tx.send(value).expect("receiver alive");
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.rx.try_recv().ok()
-        }
-    }
-
-    /// `crossbeam_queue::SegQueue` — unbounded segmented MPMC queue.
-    #[derive(Default)]
-    pub struct CbSegQueue(crossbeam_queue::SegQueue<u64>);
-
-    impl Contender for CbSegQueue {
-        fn enqueue(&self, value: u64) {
-            self.0.push(value);
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.0.pop()
-        }
-    }
-
-    /// `crossbeam_queue::ArrayQueue` — bounded MPMC ring. Push spins on
-    /// full (cannot happen in the pairwise workload with capacity above
-    /// the thread count).
-    pub struct CbArrayQueue(crossbeam_queue::ArrayQueue<u64>);
-
-    impl CbArrayQueue {
-        /// Creates the contender with the given ring capacity.
-        pub fn new(capacity: usize) -> Self {
-            Self(crossbeam_queue::ArrayQueue::new(capacity))
-        }
-    }
-
-    impl Contender for CbArrayQueue {
-        fn enqueue(&self, value: u64) {
-            let mut v = value;
-            while let Err(back) = self.0.push(v) {
-                v = back;
-                std::hint::spin_loop();
-            }
-        }
-
-        fn dequeue(&self) -> Option<u64> {
-            self.0.pop()
-        }
-    }
-
-    // Referenced so the module is not dead code when the feature is on
-    // but no roster includes the adapters yet.
-    #[allow(dead_code)]
-    fn _assert_contender(_: &dyn Contender, _: &Mutex<()>) {}
-}
-
 /// One arena entrant: a display name plus a factory (each measured run
 /// gets a fresh instance, so no state leaks between runs).
 pub struct Entry {
@@ -326,29 +246,14 @@ pub fn registry_entries(ring_order: u32) -> Vec<Entry> {
 
 /// The external baselines available in every (offline) build.
 pub fn external_entries() -> Vec<Entry> {
-    // `mut` is only exercised when the crossbeam feature appends adapters.
-    #[cfg_attr(not(feature = "crossbeam"), allow(unused_mut))]
-    let mut entries = vec![
+    vec![
         Entry::external("std-mpsc", false, || Box::new(StdMpsc::default())),
         Entry::external("std-mpsc-bounded", false, || {
             Box::new(StdMpscBounded::new(BOUNDED_CAPACITY))
         }),
         Entry::external("mutex-deque", false, || Box::new(MutexDeque::default())),
         Entry::external("faa", true, || Box::new(FaaBound::default())),
-    ];
-    #[cfg(feature = "crossbeam")]
-    {
-        entries.push(Entry::external("crossbeam-channel", false, || {
-            Box::new(crossbeam_adapters::CbChannel::default())
-        }));
-        entries.push(Entry::external("crossbeam-seg", false, || {
-            Box::new(crossbeam_adapters::CbSegQueue::default())
-        }));
-        entries.push(Entry::external("crossbeam-array", false, || {
-            Box::new(crossbeam_adapters::CbArrayQueue::new(BOUNDED_CAPACITY))
-        }));
-    }
-    entries
+    ]
 }
 
 /// The full default roster: registry entries then external baselines.

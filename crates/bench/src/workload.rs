@@ -88,18 +88,19 @@ impl RunResult {
 /// Runs the pairs workload once and collects throughput + counters.
 pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult {
     assert!(cfg.threads > 0 && cfg.pairs > 0);
-    // Prefill happens *before* the baseline snapshot so its atomic
-    // operations (including any ring spills) do not pollute the measured
-    // per-operation statistics.
+    // The run's counters are the sum of the workers' own thread-local
+    // counts, so the prefill on this thread (including any ring spills)
+    // stays out of the measured per-operation statistics, and so do other
+    // threads of the process flushing into the global aggregate meanwhile.
     for i in 0..cfg.prefill {
         queue.enqueue(i);
     }
-    metrics::flush(); // park prefill + stale counts outside the window
-    let before = metrics::snapshot();
+    metrics::flush();
 
     let barrier = Barrier::new(cfg.threads + 1);
     let hist_sink: Mutex<LatencyHistogram> = Mutex::new(LatencyHistogram::new());
-    let (barrier_ref, hist_ref) = (&barrier, &hist_sink);
+    let counter_sink: Mutex<metrics::Snapshot> = Mutex::new(metrics::Snapshot::default());
+    let (barrier_ref, hist_ref, counter_ref) = (&barrier, &hist_sink, &counter_sink);
 
     let wall = std::thread::scope(|s| {
         for t in 0..cfg.threads {
@@ -182,6 +183,11 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
                         i += n as u64;
                     }
                 }
+                // A fresh thread starts with zeroed local counters.
+                counter_ref
+                    .lock()
+                    .unwrap()
+                    .merge(&metrics::local_snapshot());
                 metrics::flush();
                 if let Some(h) = local_hist {
                     hist_ref.lock().unwrap().merge(&h);
@@ -198,13 +204,12 @@ pub fn run_workload<Q: ConcurrentQueue>(queue: &Q, cfg: &RunConfig) -> RunResult
     });
 
     let wall = wall.start.elapsed();
-    let after = metrics::snapshot();
     let total_ops = 2 * cfg.threads as u64 * cfg.pairs;
     RunResult {
         wall,
         total_ops,
         mops: total_ops as f64 / wall.as_secs_f64() / 1e6,
-        counters: after.delta_since(&before),
+        counters: counter_sink.into_inner().unwrap(),
         latency: cfg
             .record_latency
             .then(|| std::mem::take(&mut *hist_sink.lock().unwrap())),

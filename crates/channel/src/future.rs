@@ -14,59 +14,40 @@ use core::task::{Context, Poll, Waker};
 use std::sync::Arc;
 use std::task::Wake;
 
+use lcrq_core::{Crq, TantrumRing};
 use lcrq_util::parker::Parker;
 
-use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
+use crate::error::{RecvError, SendError};
 use crate::waker::Registration;
 use crate::{Receiver, Sender};
 
 /// Future returned by [`Receiver::recv_async`]. Resolves to the next item,
 /// or [`RecvError::Disconnected`] once the channel is closed and drained.
 #[must_use = "futures do nothing unless polled"]
-pub struct RecvFuture<'a, T: Send> {
-    rx: &'a Receiver<T>,
+pub struct RecvFuture<'a, T: Send, R: TantrumRing = Crq> {
+    rx: &'a Receiver<T, R>,
     reg: Option<Registration>,
 }
 
-impl<'a, T: Send> RecvFuture<'a, T> {
-    pub(crate) fn new(rx: &'a Receiver<T>) -> Self {
+impl<'a, T: Send, R: TantrumRing> RecvFuture<'a, T, R> {
+    pub(crate) fn new(rx: &'a Receiver<T, R>) -> Self {
         Self { rx, reg: None }
     }
 }
 
-impl<T: Send> Future for RecvFuture<'_, T> {
+impl<T: Send, R: TantrumRing> Future for RecvFuture<'_, T, R> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &*this.rx.shared;
-        if let Some(reg) = this.reg.take() {
-            shared.not_empty.wakers.deregister(reg);
-        }
-        match shared.try_recv_inner() {
-            Ok(v) => return Poll::Ready(Ok(v)),
-            Err(TryRecvError::Disconnected) => return Poll::Ready(Err(RecvError::Disconnected)),
-            Err(TryRecvError::Empty) => {}
-        }
-        let reg = shared.not_empty.wakers.register(cx.waker());
-        match shared.try_recv_inner() {
-            Ok(v) => {
-                shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Ok(v))
-            }
-            Err(TryRecvError::Disconnected) => {
-                shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Err(RecvError::Disconnected))
-            }
-            Err(TryRecvError::Empty) => {
-                this.reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        shared
+            .not_empty
+            .poll_until(&mut this.reg, cx, || shared.recv_attempt())
     }
 }
 
-impl<T: Send> Drop for RecvFuture<'_, T> {
+impl<T: Send, R: TantrumRing> Drop for RecvFuture<'_, T, R> {
     fn drop(&mut self) {
         if let Some(reg) = self.reg.take() {
             self.rx.shared.not_empty.wakers.deregister(reg);
@@ -79,14 +60,14 @@ impl<T: Send> Drop for RecvFuture<'_, T> {
 /// on a bounded one — or to [`SendError`] (value returned) on a closed
 /// channel.
 #[must_use = "futures do nothing unless polled"]
-pub struct SendFuture<'a, T: Send> {
-    tx: &'a Sender<T>,
+pub struct SendFuture<'a, T: Send, R: TantrumRing = Crq> {
+    tx: &'a Sender<T, R>,
     value: Option<T>,
     reg: Option<Registration>,
 }
 
-impl<'a, T: Send> SendFuture<'a, T> {
-    pub(crate) fn new(tx: &'a Sender<T>, value: T) -> Self {
+impl<'a, T: Send, R: TantrumRing> SendFuture<'a, T, R> {
+    pub(crate) fn new(tx: &'a Sender<T, R>, value: T) -> Self {
         Self {
             tx,
             value: Some(value),
@@ -97,46 +78,22 @@ impl<'a, T: Send> SendFuture<'a, T> {
 
 // The value is stored by ownership, never pinned structurally, so the
 // future is freely movable regardless of T.
-impl<T: Send> Unpin for SendFuture<'_, T> {}
+impl<T: Send, R: TantrumRing> Unpin for SendFuture<'_, T, R> {}
 
-impl<T: Send> Future for SendFuture<'_, T> {
+impl<T: Send, R: TantrumRing> Future for SendFuture<'_, T, R> {
     type Output = Result<(), SendError<T>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &*this.tx.shared;
-        if let Some(reg) = this.reg.take() {
-            shared.not_full.wakers.deregister(reg);
-        }
-        let value = this
-            .value
-            .take()
-            .expect("SendFuture polled after completion");
-        let value = match shared.try_send_inner(value) {
-            Ok(()) => return Poll::Ready(Ok(())),
-            Err(TrySendError::Closed(v)) => return Poll::Ready(Err(SendError(v))),
-            Err(TrySendError::Full(v)) => v,
-        };
-        let reg = shared.not_full.wakers.register(cx.waker());
-        match shared.try_send_inner(value) {
-            Ok(()) => {
-                shared.not_full.wakers.deregister(reg);
-                Poll::Ready(Ok(()))
-            }
-            Err(TrySendError::Closed(v)) => {
-                shared.not_full.wakers.deregister(reg);
-                Poll::Ready(Err(SendError(v)))
-            }
-            Err(TrySendError::Full(v)) => {
-                this.value = Some(v);
-                this.reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        assert!(this.value.is_some(), "SendFuture polled after completion");
+        shared
+            .not_full
+            .poll_until(&mut this.reg, cx, || shared.send_attempt(&mut this.value))
     }
 }
 
-impl<T: Send> Drop for SendFuture<'_, T> {
+impl<T: Send, R: TantrumRing> Drop for SendFuture<'_, T, R> {
     fn drop(&mut self) {
         if let Some(reg) = self.reg.take() {
             self.tx.shared.not_full.wakers.deregister(reg);

@@ -1,18 +1,18 @@
 //! Blocking & async MPMC channels over the LCRQ nonblocking core.
 //!
-//! The paper's LCRQ ([`TypedLcrq`]) delivers raw fetch-and-add-based MPMC
+//! The paper's LCRQ ([`Typed`] over CRQ rings) delivers raw F&A-based MPMC
 //! throughput but never *waits*: an empty dequeue returns immediately, so a
 //! consumer must spin. This crate grows the missing channel layer on top,
 //! in three pieces:
 //!
 //! 1. **Sync blocking layer** — [`Sender::send`] / [`Receiver::recv`] (plus
 //!    `try_*` and [`Receiver::recv_timeout`]) with an adaptive wait ladder:
-//!    poll → [`Backoff`] (spin, then yield) → park on an
-//!    [`EventCount`](lcrq_util::parker::EventCount). A parked consumer
-//!    costs **zero** F&A — it touches no queue state until woken — and the
-//!    event-count's prepare/poll/park protocol makes the park race-free
-//!    against concurrent sends (no lost wakeup; see DESIGN.md "Channel
-//!    layer").
+//!    poll → [`Backoff`](lcrq_util::backoff::Backoff) (spin, then yield)
+//!    → park on an [`EventCount`](lcrq_util::parker::EventCount). A parked
+//!    consumer costs **zero** F&A — it touches no queue state until woken —
+//!    and the event-count's prepare/poll/park protocol makes the park
+//!    race-free against concurrent sends (no lost wakeup; see DESIGN.md
+//!    "Channel layer").
 //! 2. **Executor-agnostic async layer** — [`Sender::send_async`] /
 //!    [`Receiver::recv_async`] futures and the `Stream`-shaped
 //!    [`Receiver::poll_recv`], backed by a hazard-protected MPMC waker
@@ -51,106 +51,16 @@ use core::task::{Context, Poll};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lcrq_core::{LcrqConfig, TypedLcrq, TypedWcq};
-use lcrq_util::backoff::Backoff;
+use lcrq_core::{Crq, LcrqConfig, TantrumRing, Typed};
 use lcrq_util::metrics::{self, Event};
 use lcrq_util::CachePadded;
 
 use crate::wait::WaitQueue;
 use crate::waker::Registration;
 
-/// Selects the nonblocking core a channel is built over.
-///
-/// Both cores share the tantrum-`CLOSED` shutdown convention the channel's
-/// settle protocol relies on; they differ in progress class:
-///
-/// * [`Lcrq`](ChannelBackend::Lcrq) — the paper's fetch-and-add ring list
-///   (default): highest throughput, lock-free.
-/// * [`Wcq`](ChannelBackend::Wcq) — the wait-free wCQ: every queue
-///   operation completes in a bounded number of the caller's own steps
-///   even when peer threads stall, at some throughput cost. The *channel*
-///   layer still blocks (that is its job); the bound applies to the queue
-///   operations under it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChannelBackend {
-    /// LCRQ core (`TypedLcrq`) — the default.
-    #[default]
-    Lcrq,
-    /// Wait-free wCQ core (`TypedWcq`).
-    Wcq,
-}
-
-/// The channel's queue core: one variant per [`ChannelBackend`]. Static
-/// dispatch via `match` — no `dyn`, no generic parameter leaking into
-/// `Sender`/`Receiver`.
-enum Core<T: Send> {
-    Lcrq(TypedLcrq<T>),
-    Wcq(TypedWcq<T>),
-}
-
-impl<T: Send> Core<T> {
-    fn dequeue(&self) -> Option<T> {
-        match self {
-            Core::Lcrq(q) => q.dequeue(),
-            Core::Wcq(q) => q.dequeue(),
-        }
-    }
-
-    fn try_enqueue(&self, value: T) -> Result<(), T> {
-        match self {
-            Core::Lcrq(q) => q.try_enqueue(value),
-            Core::Wcq(q) => q.try_enqueue(value),
-        }
-    }
-
-    fn try_extend(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        match self {
-            Core::Lcrq(q) => q.try_extend(values),
-            Core::Wcq(q) => q.try_extend(values),
-        }
-    }
-
-    fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
-            Core::Lcrq(q) => q.drain_into(out, max),
-            Core::Wcq(q) => q.drain_into(out, max),
-        }
-    }
-
-    fn close(&self) -> bool {
-        match self {
-            Core::Lcrq(q) => q.close(),
-            Core::Wcq(q) => q.close(),
-        }
-    }
-
-    fn is_closed(&self) -> bool {
-        match self {
-            Core::Lcrq(q) => q.is_closed(),
-            Core::Wcq(q) => q.is_closed(),
-        }
-    }
-
-    fn is_empty_hint(&self) -> bool {
-        match self {
-            Core::Lcrq(q) => q.is_empty_hint(),
-            Core::Wcq(q) => q.is_empty_hint(),
-        }
-    }
-}
-
-impl<T: Send> Core<T> {
-    fn build(backend: ChannelBackend, config: LcrqConfig) -> Self {
-        match backend {
-            ChannelBackend::Lcrq => Core::Lcrq(TypedLcrq::with_config(config)),
-            ChannelBackend::Wcq => Core::Wcq(TypedWcq::with_config(config)),
-        }
-    }
-}
-
 /// State shared by all handles of one channel.
-struct Shared<T: Send> {
-    queue: Core<T>,
+struct Shared<T: Send, R: TantrumRing> {
+    queue: Typed<T, R>,
     /// `None` for unbounded channels (the credit counter is then unused and
     /// the send path performs no extra atomics).
     capacity: Option<u64>,
@@ -164,7 +74,7 @@ struct Shared<T: Send> {
     receivers: AtomicUsize,
 }
 
-impl<T: Send> Shared<T> {
+impl<T: Send, R: TantrumRing> Shared<T, R> {
     /// One nonblocking receive attempt with the shutdown settle protocol:
     /// dequeue; on empty check closed; if closed, dequeue once more (items
     /// may have linked between the empty observation and the flag read)
@@ -184,6 +94,30 @@ impl<T: Send> Shared<T> {
             return Err(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
+    }
+
+    /// [`try_recv_inner`](Self::try_recv_inner) as a wait attempt: `None`
+    /// while the channel is empty.
+    fn recv_attempt(&self) -> Option<Result<T, RecvError>> {
+        match self.try_recv_inner() {
+            Ok(v) => Some(Ok(v)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        }
+    }
+
+    /// [`try_send_inner`](Self::try_send_inner) as a wait attempt on the
+    /// value in `slot`: `None`, with the value back in `slot`, while a
+    /// bounded channel is full.
+    fn send_attempt(&self, slot: &mut Option<T>) -> Option<Result<(), SendError<T>>> {
+        match self.try_send_inner(slot.take()?) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
+            Err(TrySendError::Full(v)) => {
+                *slot = Some(v);
+                None
+            }
+        }
     }
 
     /// Post-dequeue bookkeeping: repay credits and unblock senders.
@@ -227,35 +161,42 @@ impl<T: Send> Shared<T> {
     }
 
     /// Fences producers (tantrum-closing the tail rings, see
-    /// [`TypedLcrq::close`]) and wakes every waiter on both conditions so
-    /// blocked/pending operations observe the shutdown.
-    fn close(&self) {
-        if self.queue.close() {
+    /// [`Typed::close`]) and wakes every waiter on both conditions so
+    /// blocked/pending operations observe the shutdown. Returns `true` on
+    /// the transition.
+    fn close(&self) -> bool {
+        let first = self.queue.close();
+        if first {
             metrics::inc(Event::ChannelClosed);
         }
         self.not_empty.notify_all();
         self.not_full.notify_all();
+        first
     }
 }
 
 /// Creates an unbounded channel: sends never block (the LCRQ grows by
 /// linking rings) and consumers park when empty.
 pub fn channel<T: Send>() -> (Sender<T>, Receiver<T>) {
-    with_queue(Core::Lcrq(TypedLcrq::new()), None)
+    channel_with_config(LcrqConfig::default())
 }
 
 /// [`channel`] with an explicit LCRQ configuration (ring size etc.).
 pub fn channel_with_config<T: Send>(config: LcrqConfig) -> (Sender<T>, Receiver<T>) {
-    with_queue(Core::Lcrq(TypedLcrq::with_config(config)), None)
+    channel_with_ring(config)
 }
 
-/// [`channel`] over an explicit queue core ([`ChannelBackend`]): pick
-/// `Wcq` for a channel whose queue operations are wait-free.
-pub fn channel_with_backend<T: Send>(
-    backend: ChannelBackend,
+/// [`channel`] over an explicit ring type `R`: pick
+/// [`WcqRing`](lcrq_core::WcqRing) for a channel whose queue operations
+/// are wait-free — each completes in a bounded number of the caller's own
+/// steps even when peers stall, at some throughput cost. The *channel*
+/// still blocks (that is its job); the bound applies to the queue
+/// operations under it. Every ring shares the tantrum-`CLOSED` shutdown
+/// convention the channel's settle protocol relies on.
+pub fn channel_with_ring<T: Send, R: TantrumRing>(
     config: LcrqConfig,
-) -> (Sender<T>, Receiver<T>) {
-    with_queue(Core::build(backend, config), None)
+) -> (Sender<T, R>, Receiver<T, R>) {
+    with_queue(Typed::with_config(config), None)
 }
 
 /// Creates a bounded channel holding at most `capacity` items: sends block
@@ -275,25 +216,27 @@ pub fn bounded_with_config<T: Send>(
     capacity: usize,
     config: LcrqConfig,
 ) -> (Sender<T>, Receiver<T>) {
-    bounded_with_backend(capacity, ChannelBackend::Lcrq, config)
+    bounded_with_ring(capacity, config)
 }
 
-/// [`bounded`] over an explicit queue core ([`ChannelBackend`]).
+/// [`bounded`] over an explicit ring type `R` (see [`channel_with_ring`]).
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is zero, as [`bounded`] does.
-pub fn bounded_with_backend<T: Send>(
+pub fn bounded_with_ring<T: Send, R: TantrumRing>(
     capacity: usize,
-    backend: ChannelBackend,
     config: LcrqConfig,
-) -> (Sender<T>, Receiver<T>) {
+) -> (Sender<T, R>, Receiver<T, R>) {
     assert!(capacity > 0, "bounded channel capacity must be at least 1");
     assert!(capacity as u64 <= i64::MAX as u64, "capacity too large");
-    with_queue(Core::build(backend, config), Some(capacity as u64))
+    with_queue(Typed::with_config(config), Some(capacity as u64))
 }
 
-fn with_queue<T: Send>(queue: Core<T>, capacity: Option<u64>) -> (Sender<T>, Receiver<T>) {
+fn with_queue<T: Send, R: TantrumRing>(
+    queue: Typed<T, R>,
+    capacity: Option<u64>,
+) -> (Sender<T, R>, Receiver<T, R>) {
     let shared = Arc::new(Shared {
         queue,
         capacity,
@@ -317,47 +260,21 @@ fn with_queue<T: Send>(queue: Core<T>, capacity: Option<u64>) -> (Sender<T>, Rec
 /// The sending half of a channel. Clonable: the channel closes when the
 /// last `Sender` drops (receivers then drain and see
 /// [`RecvError::Disconnected`]).
-pub struct Sender<T: Send> {
-    shared: Arc<Shared<T>>,
+pub struct Sender<T: Send, R: TantrumRing = Crq> {
+    shared: Arc<Shared<T, R>>,
 }
 
-impl<T: Send> Sender<T> {
+impl<T: Send, R: TantrumRing> Sender<T, R> {
     /// Sends `value`, blocking while a bounded channel is full (unbounded
     /// sends never block). Fails only when the channel is closed, handing
     /// the value back.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut value = match self.shared.try_send_inner(value) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-            Err(TrySendError::Full(v)) => v,
-        };
-        // Bounded channel at capacity: escalate spin → yield → park.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            value = match self.shared.try_send_inner(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-                Err(TrySendError::Full(v)) => v,
-            };
-        }
-        loop {
-            let ticket = self.shared.not_full.evc.prepare();
-            value = match self.shared.try_send_inner(value) {
-                Ok(()) => {
-                    self.shared.not_full.evc.cancel(ticket);
-                    return Ok(());
-                }
-                Err(TrySendError::Closed(v)) => {
-                    self.shared.not_full.evc.cancel(ticket);
-                    return Err(SendError(v));
-                }
-                Err(TrySendError::Full(v)) => {
-                    self.shared.not_full.evc.wait(ticket);
-                    v
-                }
-            };
-        }
+        let mut slot = Some(value);
+        let sent = self
+            .shared
+            .not_full
+            .wait_until(None, || self.shared.send_attempt(&mut slot));
+        sent.expect("a wait without deadline ends only in a send or a close")
     }
 
     /// Nonblocking send: fails with [`TrySendError::Full`] instead of
@@ -368,7 +285,7 @@ impl<T: Send> Sender<T> {
 
     /// Sends every value of `values` through the core's multi-slot batch
     /// reservations (one F&A per reservation instead of one per item; see
-    /// [`TypedLcrq::extend`]). On a bounded channel, credits for the whole
+    /// [`Typed::extend`]). On a bounded channel, credits for the whole
     /// batch are acquired with bulk F&As, blocking as needed.
     ///
     /// If the channel closes partway, `Err` returns the **unsent suffix**
@@ -377,67 +294,55 @@ impl<T: Send> Sender<T> {
         if values.is_empty() {
             return Ok(());
         }
-        if self.shared.capacity.is_none() {
-            return match self.shared.queue.try_extend(values) {
-                Ok(()) => {
-                    self.shared.not_empty.notify_all();
-                    Ok(())
-                }
-                Err(rest) => {
-                    // A prefix may have been placed before the close was
-                    // observed: wake consumers for it.
-                    self.shared.not_empty.notify_all();
-                    Err(SendError(rest))
-                }
-            };
-        }
-        // Bounded: acquire credits in bulk (clamped to what is available),
-        // send that many, park for the rest.
+        // Acquire credits in bulk (clamped to what is available; an
+        // unbounded channel grants everything), send that many, and climb
+        // the wait ladder for the rest.
+        let shared = &*self.shared;
+        let bounded = shared.capacity.is_some();
         let mut rest = values;
-        loop {
+        let sent = shared.not_full.wait_until(None, || {
             let want = rest.len() as i64;
-            let prev = self.shared.credits.fetch_sub(want, Ordering::SeqCst);
-            let granted = prev.clamp(0, want);
-            if granted < want {
-                // Repay the overdraft beyond what was actually available.
-                self.shared
-                    .credits
-                    .fetch_add(want - granted, Ordering::SeqCst);
-            }
+            let granted = if bounded {
+                let prev = shared.credits.fetch_sub(want, Ordering::SeqCst);
+                if prev < want {
+                    // Repay the overdraft beyond what was actually available.
+                    let overdraft = want - prev.max(0);
+                    shared.credits.fetch_add(overdraft, Ordering::SeqCst);
+                }
+                prev.clamp(0, want)
+            } else {
+                want
+            };
             if granted > 0 {
                 let chunk: Vec<T> = rest.drain(..granted as usize).collect();
-                match self.shared.queue.try_extend(chunk) {
-                    Ok(()) => self.shared.not_empty.notify_all(),
-                    Err(mut rejected) => {
-                        self.shared
-                            .credits
-                            .fetch_add(rejected.len() as i64, Ordering::SeqCst);
-                        self.shared.not_empty.notify_all();
-                        rejected.append(&mut rest);
-                        return Err(SendError(rejected));
+                let placed = shared.queue.try_extend(chunk);
+                // Wake consumers even on a close: a prefix may have been
+                // placed before it was observed.
+                shared.not_empty.notify_all();
+                if let Err(mut rejected) = placed {
+                    if bounded {
+                        let unused = rejected.len() as i64;
+                        shared.credits.fetch_add(unused, Ordering::SeqCst);
                     }
+                    rejected.append(&mut rest);
+                    return Some(Err(SendError(rejected)));
                 }
             }
             if rest.is_empty() {
-                return Ok(());
+                Some(Ok(()))
+            } else if shared.queue.is_closed() {
+                Some(Err(SendError(core::mem::take(&mut rest))))
+            } else {
+                None
             }
-            let ticket = self.shared.not_full.evc.prepare();
-            if self.shared.queue.is_closed() {
-                self.shared.not_full.evc.cancel(ticket);
-                return Err(SendError(rest));
-            }
-            if self.shared.credits.load(Ordering::SeqCst) > 0 {
-                self.shared.not_full.evc.cancel(ticket);
-                continue;
-            }
-            self.shared.not_full.evc.wait(ticket);
-        }
+        });
+        sent.expect("a wait without deadline ends only in a send or a close")
     }
 
     /// Async send: resolves immediately on an unbounded channel, pends on a
     /// full bounded channel until a receiver frees capacity. Executor-
     /// agnostic — drive it with any runtime or [`block_on`].
-    pub fn send_async(&self, value: T) -> SendFuture<'_, T> {
+    pub fn send_async(&self, value: T) -> SendFuture<'_, T, R> {
         SendFuture::new(self, value)
     }
 
@@ -445,9 +350,7 @@ impl<T: Send> Sender<T> {
     /// are fenced, receivers drain the remaining items then see
     /// [`RecvError::Disconnected`]. Returns `true` on the transition.
     pub fn close(&self) -> bool {
-        let was_closed = self.shared.queue.is_closed();
-        self.shared.close();
-        !was_closed
+        self.shared.close()
     }
 
     /// Whether the channel is closed.
@@ -461,7 +364,7 @@ impl<T: Send> Sender<T> {
     }
 }
 
-impl<T: Send> Clone for Sender<T> {
+impl<T: Send, R: TantrumRing> Clone for Sender<T, R> {
     fn clone(&self) -> Self {
         self.shared.senders.fetch_add(1, Ordering::SeqCst);
         Self {
@@ -470,7 +373,7 @@ impl<T: Send> Clone for Sender<T> {
     }
 }
 
-impl<T: Send> Drop for Sender<T> {
+impl<T: Send, R: TantrumRing> Drop for Sender<T, R> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.shared.close();
@@ -478,7 +381,7 @@ impl<T: Send> Drop for Sender<T> {
     }
 }
 
-impl<T: Send> core::fmt::Debug for Sender<T> {
+impl<T: Send, R: TantrumRing> core::fmt::Debug for Sender<T, R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Sender")
             .field("closed", &self.is_closed())
@@ -490,48 +393,21 @@ impl<T: Send> core::fmt::Debug for Sender<T> {
 /// The receiving half of a channel. Clonable (MPMC: each item goes to
 /// exactly one receiver). When the last `Receiver` drops the channel
 /// closes, so senders fail fast instead of filling an unwatched queue.
-pub struct Receiver<T: Send> {
-    shared: Arc<Shared<T>>,
+pub struct Receiver<T: Send, R: TantrumRing = Crq> {
+    shared: Arc<Shared<T, R>>,
     /// Standing waker registration used by [`poll_recv`](Self::poll_recv)
     /// between `Pending` polls.
     poll_reg: Option<Registration>,
 }
 
-impl<T: Send> Receiver<T> {
+impl<T: Send, R: TantrumRing> Receiver<T, R> {
     /// Receives the next item, blocking while the channel is empty. The
-    /// wait ladder escalates poll → [`Backoff`] (spin, then yield) → park;
+    /// wait ladder escalates poll → backoff (spin, then yield) → park;
     /// a parked receiver performs no queue operations (zero F&A) until a
     /// sender wakes it. Fails only when the channel is closed **and**
     /// drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-            Err(TryRecvError::Empty) => {}
-        }
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            match self.shared.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        loop {
-            let ticket = self.shared.not_empty.evc.prepare();
-            match self.shared.try_recv_inner() {
-                Ok(v) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Ok(v);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Err(RecvError::Disconnected);
-                }
-                Err(TryRecvError::Empty) => self.shared.not_empty.evc.wait(ticket),
-            }
-        }
+        self.recv_until(None).map_err(|_| RecvError::Disconnected)
     }
 
     /// Nonblocking receive.
@@ -544,52 +420,25 @@ impl<T: Send> Receiver<T> {
     /// timeout), so an idle wait performs a bounded number of queue polls —
     /// independent of the timeout length — and zero F&A while parked.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-            Err(TryRecvError::Empty) => {}
-        }
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            backoff.snooze();
-            match self.shared.try_recv_inner() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= deadline {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                }
-            }
-        }
-        loop {
-            let ticket = self.shared.not_empty.evc.prepare();
-            match self.shared.try_recv_inner() {
-                Ok(v) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Ok(v);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.evc.cancel(ticket);
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                Err(TryRecvError::Empty) => {
-                    let Some(left) = deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        self.shared.not_empty.evc.cancel(ticket);
-                        return Err(RecvTimeoutError::Timeout);
-                    };
-                    self.shared.not_empty.evc.wait_timeout(ticket, left);
-                }
-            }
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// The receive wait ladder; `None` waits without a deadline (and so
+    /// never reports `Timeout`).
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let received = self
+            .shared
+            .not_empty
+            .wait_until(deadline, || self.shared.recv_attempt());
+        match received {
+            Some(Ok(v)) => Ok(v),
+            Some(Err(RecvError::Disconnected)) => Err(RecvTimeoutError::Disconnected),
+            None => Err(RecvTimeoutError::Timeout),
         }
     }
 
     /// Receives up to `max` items into `out` through the core's bulk-F&A
-    /// drain ([`TypedLcrq::drain_into`]). Blocks (like [`recv`](Self::recv))
+    /// drain ([`Typed::drain_into`]). Blocks (like [`recv`](Self::recv))
     /// only when the channel is empty; otherwise returns immediately with
     /// whatever is available (at least one item). Returns how many items
     /// were appended, or `Disconnected` after the final drain.
@@ -614,7 +463,7 @@ impl<T: Send> Receiver<T> {
 
     /// Async receive. Executor-agnostic — drive it with any runtime or
     /// [`block_on`].
-    pub fn recv_async(&self) -> RecvFuture<'_, T> {
+    pub fn recv_async(&self) -> RecvFuture<'_, T, R> {
         RecvFuture::new(self)
     }
 
@@ -623,37 +472,16 @@ impl<T: Send> Receiver<T> {
     /// the registry. A `futures::Stream` adapter is one `poll_next` =
     /// `poll_recv` away; the repo stays dependency-free.
     pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        if let Some(reg) = self.poll_reg.take() {
-            self.shared.not_empty.wakers.deregister(reg);
-        }
-        match self.shared.try_recv_inner() {
-            Ok(v) => return Poll::Ready(Some(v)),
-            Err(TryRecvError::Disconnected) => return Poll::Ready(None),
-            Err(TryRecvError::Empty) => {}
-        }
-        let reg = self.shared.not_empty.wakers.register(cx.waker());
-        // Re-poll after registering: a send racing the registration either
-        // sees it (and wakes us) or happened before it (and this poll sees
-        // the item) — the async twin of the event-count protocol.
-        match self.shared.try_recv_inner() {
-            Ok(v) => {
-                self.shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(Some(v))
-            }
-            Err(TryRecvError::Disconnected) => {
-                self.shared.not_empty.wakers.deregister(reg);
-                Poll::Ready(None)
-            }
-            Err(TryRecvError::Empty) => {
-                self.poll_reg = Some(reg);
-                Poll::Pending
-            }
-        }
+        let shared = &*self.shared;
+        let polled = shared
+            .not_empty
+            .poll_until(&mut self.poll_reg, cx, || shared.recv_attempt());
+        polled.map(Result::ok)
     }
 
     /// A blocking iterator over received items; ends when the channel is
     /// closed and drained.
-    pub fn iter(&self) -> Iter<'_, T> {
+    pub fn iter(&self) -> Iter<'_, T, R> {
         Iter { rx: self }
     }
 
@@ -661,9 +489,7 @@ impl<T: Send> Receiver<T> {
     /// immediately (fail-fast instead of queueing unwatched items) while
     /// remaining items stay receivable. Returns `true` on the transition.
     pub fn close(&self) -> bool {
-        let was_closed = self.shared.queue.is_closed();
-        self.shared.close();
-        !was_closed
+        self.shared.close()
     }
 
     /// Whether the channel is closed (items may remain receivable).
@@ -678,7 +504,7 @@ impl<T: Send> Receiver<T> {
     }
 }
 
-impl<T: Send> Clone for Receiver<T> {
+impl<T: Send, R: TantrumRing> Clone for Receiver<T, R> {
     fn clone(&self) -> Self {
         self.shared.receivers.fetch_add(1, Ordering::SeqCst);
         Self {
@@ -688,7 +514,7 @@ impl<T: Send> Clone for Receiver<T> {
     }
 }
 
-impl<T: Send> Drop for Receiver<T> {
+impl<T: Send, R: TantrumRing> Drop for Receiver<T, R> {
     fn drop(&mut self) {
         if let Some(reg) = self.poll_reg.take() {
             self.shared.not_empty.wakers.deregister(reg);
@@ -699,7 +525,7 @@ impl<T: Send> Drop for Receiver<T> {
     }
 }
 
-impl<T: Send> core::fmt::Debug for Receiver<T> {
+impl<T: Send, R: TantrumRing> core::fmt::Debug for Receiver<T, R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Receiver")
             .field("closed", &self.is_closed())
@@ -708,21 +534,21 @@ impl<T: Send> core::fmt::Debug for Receiver<T> {
 }
 
 /// Blocking iterator returned by [`Receiver::iter`].
-pub struct Iter<'a, T: Send> {
-    rx: &'a Receiver<T>,
+pub struct Iter<'a, T: Send, R: TantrumRing = Crq> {
+    rx: &'a Receiver<T, R>,
 }
 
-impl<T: Send> Iterator for Iter<'_, T> {
+impl<T: Send, R: TantrumRing> Iterator for Iter<'_, T, R> {
     type Item = T;
     fn next(&mut self) -> Option<T> {
         self.rx.recv().ok()
     }
 }
 
-impl<'a, T: Send> IntoIterator for &'a Receiver<T> {
+impl<'a, T: Send, R: TantrumRing> IntoIterator for &'a Receiver<T, R> {
     type Item = T;
-    type IntoIter = Iter<'a, T>;
-    fn into_iter(self) -> Iter<'a, T> {
+    type IntoIter = Iter<'a, T, R>;
+    fn into_iter(self) -> Iter<'a, T, R> {
         self.iter()
     }
 }
@@ -730,6 +556,7 @@ impl<'a, T: Send> IntoIterator for &'a Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcrq_core::WcqRing;
 
     #[test]
     fn sequential_round_trip() {
@@ -1041,7 +868,7 @@ mod tests {
 
     #[test]
     fn wcq_backend_round_trip_and_shutdown() {
-        let (tx, rx) = channel_with_backend::<String>(ChannelBackend::Wcq, LcrqConfig::default());
+        let (tx, rx) = channel_with_ring::<String, WcqRing>(LcrqConfig::default());
         tx.send("a".to_string()).unwrap();
         tx.send("b".to_string()).unwrap();
         assert_eq!(rx.recv().unwrap(), "a");
@@ -1053,7 +880,7 @@ mod tests {
 
     #[test]
     fn wcq_backend_bounded_blocks_and_recovers() {
-        let (tx, rx) = bounded_with_backend::<u32>(1, ChannelBackend::Wcq, LcrqConfig::default());
+        let (tx, rx) = bounded_with_ring::<u32, WcqRing>(1, LcrqConfig::default());
         tx.send(1).unwrap();
         assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
         let h = std::thread::spawn(move || {
@@ -1070,8 +897,7 @@ mod tests {
 
     #[test]
     fn wcq_backend_batch_and_tiny_rings() {
-        let (tx, rx) =
-            channel_with_backend::<u64>(ChannelBackend::Wcq, LcrqConfig::new().with_ring_order(3));
+        let (tx, rx) = channel_with_ring::<u64, WcqRing>(LcrqConfig::new().with_ring_order(3));
         tx.send_batch((0..500).collect()).unwrap();
         let mut out = Vec::new();
         while out.len() < 500 {
@@ -1084,8 +910,7 @@ mod tests {
 
     #[test]
     fn wcq_backend_mpmc_stress() {
-        let (tx, rx) =
-            channel_with_backend::<u64>(ChannelBackend::Wcq, LcrqConfig::new().with_ring_order(4));
+        let (tx, rx) = channel_with_ring::<u64, WcqRing>(LcrqConfig::new().with_ring_order(4));
         let producers = 3u64;
         let per = 2_000u64;
         let mut handles = Vec::new();

@@ -1,34 +1,23 @@
-//! LCRQ — the linked list of CRQs (paper §4.2, Figure 5).
+//! LCRQ — the linked list of CRQs (paper §4.2, Figure 5): the shared
+//! [`RingList`] protocol over [`Crq`] rings.
 //!
-//! Dequeuers work in the head CRQ, enqueuers in the tail CRQ. An enqueue
-//! that finds the tail ring closed allocates a fresh ring *pre-seeded with
-//! its item* and races to link it; the winner is done, losers move into the
-//! new ring. A dequeue that finds the head ring empty tries once more
-//! (the December-2013 erratum: without the second attempt an item enqueued
-//! between the first dequeue and the `next` check can be lost) and then
-//! swings `head` to the next ring, retiring the old one through hazard
-//! pointers.
-//!
-//! Progress: op-wise nonblocking (§4.2.1) — some enqueue always completes
-//! in a finite number of enqueuer steps (closing + linking always succeeds
-//! for someone), and likewise for dequeues.
+//! What the CRQ brings to the list: batch operations reserve `k` indices
+//! with one fetch-and-add ([`Crq::enqueue_batch`]), spill rings come from
+//! and retire into a [`RingPool`], and LCRQ+H gates every ring entry on
+//! the ring's cluster (§4.1.1).
 
-use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use core::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use lcrq_atomic::{ops, CasLoopFaa, FaaPolicy, HardwareFaa};
 use lcrq_hazard::Domain;
-use lcrq_queues::EnqueueError;
-use lcrq_util::backoff::Backoff;
-use lcrq_util::metrics::{self, Event};
 use lcrq_util::spin::SpinDeadline;
 use lcrq_util::topology::current_cluster;
-use lcrq_util::CachePadded;
 
 use crate::config::LcrqConfig;
-use crate::crq::Crq;
+use crate::crq::{Crq, CrqClosed};
 use crate::pool::{self, RingPool};
-use crate::BOTTOM;
+use crate::ring_list::{self, RingList, TantrumRing};
 
 /// The LCRQ with hardware fetch-and-add — the paper's headline algorithm.
 pub type Lcrq = LcrqGeneric<HardwareFaa>;
@@ -37,603 +26,65 @@ pub type Lcrq = LcrqGeneric<HardwareFaa>;
 /// to isolate the contribution of always-succeeding F&A (paper §5).
 pub type LcrqCas = LcrqGeneric<CasLoopFaa>;
 
-/// An unbounded, linearizable, op-wise nonblocking MPMC FIFO queue of `u64`
-/// values (`< BOTTOM`), generic over the fetch-and-add policy.
-///
-/// ```
-/// use lcrq_core::Lcrq;
-/// let q = Lcrq::new();
-/// q.enqueue(10);
-/// assert_eq!(q.dequeue(), Some(10));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-pub struct LcrqGeneric<P: FaaPolicy> {
-    head: CachePadded<AtomicPtr<Crq<P>>>,
-    tail: CachePadded<AtomicPtr<Crq<P>>>,
-    domain: Domain,
-    /// Recycling pool for retired rings (see [`RingPool`]). Declared after
-    /// `domain` so the domain drops first: reclaim callbacks running during
-    /// domain teardown can still upgrade their `Weak` and park rings here,
-    /// and the pool then frees everything it holds.
-    pool: Arc<RingPool<P>>,
-    config: LcrqConfig,
-    /// Queue-level shutdown flag (see [`close`](Self::close)). Distinct from
-    /// per-ring tantrum closes, which only redirect enqueuers to a new ring.
-    closed: AtomicBool,
-}
-
-/// Hazard slot used for the CRQ an operation is about to access.
-const HP_SLOT: usize = 0;
-
-/// Hazard slot used by [`RingPool::pop`] to protect its stack-pop candidate.
-/// Distinct from [`HP_SLOT`], which still protects the tail ring while the
-/// spill path shops for a replacement.
-const HP_POOL_SLOT: usize = 1;
-
-impl<P: FaaPolicy> LcrqGeneric<P> {
-    /// Creates an empty queue with the default [`LcrqConfig`].
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration.
-    pub fn with_config(config: LcrqConfig) -> Self {
-        let pool = RingPool::new(config.ring_pool_capacity);
-        let first = Box::new(Crq::<P>::new(&config));
-        first.attach_pool(Arc::downgrade(&pool));
-        let first = Box::into_raw(first);
-        Self {
-            head: CachePadded::new(AtomicPtr::new(first)),
-            tail: CachePadded::new(AtomicPtr::new(first)),
-            domain: Domain::new(),
-            pool,
-            config,
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &LcrqConfig {
-        &self.config
-    }
-
-    /// The ring recycling pool attached to this queue (diagnostic: its
-    /// `len`/`capacity` bound the retired-ring memory kept for reuse).
-    pub fn ring_pool(&self) -> &RingPool<P> {
-        &self.pool
-    }
-
-    /// The queue's hazard-pointer domain (diagnostic: lets tests assert the
-    /// calling thread's retired-ring backlog stays within the domain's
-    /// reclamation [`threshold`](Domain::threshold) even while other
-    /// participants are stalled holding published hazards).
-    pub fn hazard_domain(&self) -> &Domain {
-        &self.domain
-    }
-
-    /// Produces a fresh open ring seeded with `seed`: recycled from the
-    /// pool when possible (allocation-free), otherwise heap-allocated.
-    /// Either way the ring carries the pool back-pointer, so its eventual
-    /// retirement recycles it.
-    ///
-    /// Returns `None` only when the pool had no ring **and** the heap
-    /// allocation was refused — today that refusal exists only as the
-    /// `ring-alloc` fail point, but the plumbing is the graceful-degradation
-    /// path a real fallible allocator would use. The caller surfaces it as
-    /// [`EnqueueError::AllocFailed`] instead of aborting.
-    fn try_alloc_ring(&self, seed: &[u64]) -> Option<*mut Crq<P>> {
-        if let Some(ring) = self.pool.pop(&self.domain, HP_POOL_SLOT) {
-            ring.reseed(seed);
-            return Some(Box::into_raw(ring));
-        }
-        if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
-            metrics::inc(Event::AllocDegraded);
-            return None;
-        }
-        let ring = Box::new(Crq::<P>::with_seed_batch(&self.config, seed));
-        ring.attach_pool(Arc::downgrade(&self.pool));
-        Some(Box::into_raw(ring))
-    }
-
-    /// Disposes of a spill ring that lost its link race: back to the pool
-    /// for the next spill, else deferred-freed. The free goes through the
-    /// hazard domain even though the ring was never queue-visible — if it
-    /// came out of the pool, a concurrent [`RingPool::pop`] can still hold
-    /// a hazard-protected pointer to it from a lost pop race.
-    fn release_ring(&self, ring: Box<Crq<P>>) {
-        if let Err(ring) = self.pool.push(ring) {
-            // SAFETY: unpublished at queue level and uniquely owned here;
-            // the domain defers the free past any straggling pool popper.
-            unsafe { self.domain.retire(Box::into_raw(ring)) };
-        }
-    }
-
-    /// LCRQ+H cluster gate (§4.1.1): wait briefly for the ring's cluster to
-    /// become ours, then seize it and enter regardless — so the optimization
-    /// batches same-cluster operations without ever blocking.
-    #[inline]
-    fn cluster_gate(&self, crq: &Crq<P>) {
-        let Some(h) = &self.config.hierarchical else {
-            return;
-        };
-        let mine = current_cluster() as u64;
-        if crq.cluster.load(Ordering::Relaxed) == mine {
-            return;
-        }
-        let deadline = SpinDeadline::new(h.timeout);
-        loop {
-            if crq.cluster.load(Ordering::Relaxed) == mine {
-                return;
-            }
-            if deadline.expired() {
-                let seen = crq.cluster.load(Ordering::Relaxed);
-                let _ = ops::cas(&crq.cluster, seen, mine);
-                return; // enter even if the CAS failed
-            }
-            deadline.pause();
-        }
-    }
-
-    /// Appends `value` (must be `< BOTTOM`). Figure 5c.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been [`close`](Self::close)d; use
-    /// [`try_enqueue`](Self::try_enqueue) when shutdown is possible.
-    pub fn enqueue(&self, value: u64) {
-        if self.try_enqueue(value).is_err() {
-            panic!("enqueue on a closed Lcrq (use try_enqueue to handle shutdown)");
-        }
-    }
-
-    /// Appends `value` (must be `< BOTTOM`) unless the queue has been
-    /// [`close`](Self::close)d, in which case the value is handed back as
-    /// `Err(value)`. This is the Figure 5c enqueue with a shutdown fence:
-    /// the closed flag is checked at the top of each attempt *and* again
-    /// after finding the tail ring tantrum-closed, so no enqueuer can
-    /// append a fresh ring to a closed queue.
-    pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                Err(EnqueueError::AllocFailed(_)) => {
-                    // A refused ring allocation is transient (the pool can
-                    // refill, the injected refusal is probabilistic): back
-                    // off and retry, preserving this method's historical
-                    // "closed is the only failure" contract. Callers that
-                    // want to *see* the refusal use
-                    // [`try_enqueue_fallible`](Self::try_enqueue_fallible).
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Like [`try_enqueue`](Self::try_enqueue), but also surfaces a refused
-    /// ring allocation as [`EnqueueError::AllocFailed`] instead of retrying
-    /// internally. The queue stays open and fully usable after an
-    /// `AllocFailed` — the value was not placed and is handed back, so the
-    /// caller may retry, shed load, or propagate the error.
-    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(EnqueueError::Closed(value));
-            }
-            let crq = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: `crq` is hazard-protected, so it cannot be reclaimed
-            // while we use it.
-            let crq_ref = unsafe { &*crq };
-            // Help a half-finished append: tail must point at the last ring.
-            let next = crq_ref.next.load(Ordering::SeqCst);
-            if !next.is_null() {
-                let _ = ops::ptr::cas_ptr(&self.tail, crq, next);
-                continue;
-            }
-            self.cluster_gate(crq_ref);
-            if crq_ref.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
-                return Ok(());
-            }
-            // Ring closed. Shutdown close and tantrum close look the same at
-            // ring level — distinguish them here: if the *queue* is closed,
-            // fail instead of appending a fresh ring past the fence.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::Closed(value));
-            }
-            // Fail point in the close-race window: between observing the
-            // tantrum and racing to link a replacement ring.
-            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CloseRace);
-            // Tantrum: race to append a fresh ring seeded with value
-            // (recycled from the pool when one is available).
-            let Some(newring) = self.try_alloc_ring(core::slice::from_ref(&value)) else {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::AllocFailed(value));
-            };
-            match ops::ptr::cas_ptr(&crq_ref.next, core::ptr::null_mut(), newring) {
-                Ok(()) => {
-                    let _ = ops::ptr::cas_ptr(&self.tail, crq, newring);
-                    self.domain.clear(HP_SLOT);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Another enqueuer linked first; ours was never linked.
-                    // SAFETY: newring is unpublished and uniquely owned.
-                    self.release_ring(unsafe { Box::from_raw(newring) });
-                    // Lost link race: the winner's ring has room, but under
-                    // heavy churn repeated losses waste an allocation each
-                    // round — bounded backoff with deterministic jitter
-                    // de-synchronizes the contenders.
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Closes the queue for further enqueues: every subsequent
-    /// [`try_enqueue`](Self::try_enqueue) fails and [`enqueue`](Self::enqueue)
-    /// panics, while dequeues continue to drain what was already placed.
-    /// Returns `true` on the first call, `false` if already closed.
-    ///
-    /// Implementation: a queue-level flag is raised first, then the tail
-    /// ring chain is tantrum-closed ([`Crq`] `CLOSED` bit) so that enqueuers
-    /// already past the flag check are diverted into the "ring closed" path,
-    /// where they re-check the flag and fail instead of linking a new ring.
-    /// An enqueuer that fully completed before the flag was raised is
-    /// unaffected: its item is already linked and stays dequeuable. The
-    /// remaining race — an enqueuer that passed the flag check but has not
-    /// yet placed its item — is bounded: it either lands in a ring we close
-    /// (and fails on re-check) or completes into a linked ring, where the
-    /// item is still drained normally. Either way no item is ever lost or
-    /// double-freed; see DESIGN.md "Channel layer" for the full argument.
-    pub fn close(&self) -> bool {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        // Walk to the end of the chain, closing every ring from the current
-        // tail on, so in-flight enqueuers are fenced no matter which ring
-        // they are working in.
-        loop {
-            let crq = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let crq_ref = unsafe { &*crq };
-            crq_ref.close();
-            let next = crq_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return true;
-            }
-            let _ = ops::ptr::cas_ptr(&self.tail, crq, next);
-        }
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Removes the oldest value, or `None` when the queue is empty.
-    /// Figure 5b (December-2013 corrected version).
-    pub fn dequeue(&self) -> Option<u64> {
-        loop {
-            let crq = self.domain.protect(HP_SLOT, &self.head);
-            // SAFETY: hazard-protected.
-            let crq_ref = unsafe { &*crq };
-            self.cluster_gate(crq_ref);
-            if let Some(v) = crq_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            let next = crq_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return None;
-            }
-            // An enqueue may have slipped into this ring between our failed
-            // dequeue and the `next` read (the ring closes *after* accepting
-            // its last items). Re-check before abandoning the ring — the
-            // erratum fix (Figure 5b lines 146-147).
-            if let Some(v) = crq_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            if ops::ptr::cas_ptr(&self.head, crq, next).is_ok() {
-                // Drop our own protection first so the scan below can
-                // recycle `crq` immediately (we are done touching it).
-                self.domain.clear(HP_SLOT);
-                // SAFETY: `crq` is now unreachable from the queue (head
-                // moved past it and enqueuers long since moved to `next` or
-                // later); hazard retirement defers reclamation until no
-                // operation still holds it protected, and the reclaimer
-                // scrubs it into the ring pool instead of freeing it
-                // (falling back to a free when the pool is full or gone).
-                unsafe {
-                    self.domain
-                        .retire_with(crq as *mut (), pool::recycle_ring::<P>)
-                };
-                if !self.pool.is_full() {
-                    // Feed the pool promptly: at the domain's default scan
-                    // threshold, a pile of reusable rings would sit retired
-                    // while the spill path allocates fresh ones.
-                    self.domain.scan();
-                }
-            } else {
-                self.domain.clear(HP_SLOT);
-            }
-        }
-    }
-
-    /// Appends every value in `values` (all must be `< BOTTOM`) using
-    /// multi-slot reservations: one `FAA(tail, k)` claims up to `k`
-    /// consecutive indices of the tail ring, which are then filled with the
-    /// ordinary per-slot CAS2 protocol (see [`Crq::enqueue_batch`]).
-    ///
-    /// **Linearizability**: this is *not* an atomic multi-enqueue. It
-    /// linearizes as `values.len()` individual enqueues in slice order;
-    /// items covered by one reservation additionally occupy contiguous
-    /// queue positions. When the tail ring closes mid-batch (tantrum), the
-    /// unplaced remainder spills into the fresh ring this thread races to
-    /// append — pre-seeded via [`Crq::with_seed_batch`] so the spill costs
-    /// no further F&As — and a concurrent enqueuer may slip between the two
-    /// reservations. See DESIGN.md "Batched operations".
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been [`close`](Self::close)d; use
-    /// [`try_enqueue_batch`](Self::try_enqueue_batch) when shutdown is
-    /// possible (a close racing mid-batch can leave a prefix placed — the
-    /// panic reports nothing was rolled back).
-    pub fn enqueue_batch(&self, values: &[u64]) {
-        if let Err(placed) = self.try_enqueue_batch(values) {
-            panic!(
-                "enqueue_batch on a closed Lcrq ({placed}/{} items placed; \
-                 use try_enqueue_batch to handle shutdown)",
-                values.len()
-            );
-        }
-    }
-
-    /// Batch counterpart of [`try_enqueue`](Self::try_enqueue): appends
-    /// every value unless the queue is [`close`](Self::close)d. On shutdown
-    /// `Err(placed)` reports how many leading items of `values` made it into
-    /// the queue before the close was observed (they will be drained by
-    /// receivers like any other items); the remainder `values[placed..]` was
-    /// not enqueued and stays owned by the caller.
-    pub fn try_enqueue_batch(&self, values: &[u64]) -> Result<(), usize> {
-        for &v in values {
-            assert!(v != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        }
-        let mut rest = values;
-        let mut placed_total = 0usize;
-        let mut backoff: Option<Backoff> = None;
-        while !rest.is_empty() {
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(placed_total);
-            }
-            let crq = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let crq_ref = unsafe { &*crq };
-            let next = crq_ref.next.load(Ordering::SeqCst);
-            if !next.is_null() {
-                let _ = ops::ptr::cas_ptr(&self.tail, crq, next);
-                continue; // help the half-finished append, then retry
-            }
-            self.cluster_gate(crq_ref);
-            let placed = crq_ref.enqueue_batch(rest);
-            placed_total += placed;
-            rest = &rest[placed..];
-            if rest.is_empty() {
-                break;
-            }
-            if !crq_ref.is_closed() {
-                // The reservation ran out of usable slots but the ring is
-                // still open: take a fresh reservation for the remainder.
-                continue;
-            }
-            // Ring closed mid-batch: as in try_enqueue, distinguish queue
-            // shutdown from an ordinary tantrum before linking a new ring.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(placed_total);
-            }
-            // Fail point in the close-race window (as in the scalar path).
-            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CloseRace);
-            // Tantrum mid-batch: spill the remainder (up to one ring's
-            // worth) into a fresh ring — recycled from the pool when
-            // possible — and race to link it, exactly like the scalar
-            // path's seeded ring.
-            let seed_len = (rest.len() as u64).min(self.config.ring_size()) as usize;
-            let Some(newring) = self.try_alloc_ring(&rest[..seed_len]) else {
-                // Refused allocation is transient here: back off and retry
-                // rather than reporting a partial batch as a shutdown.
-                backoff.get_or_insert_with(Backoff::jittered).spin();
-                continue;
-            };
-            match ops::ptr::cas_ptr(&crq_ref.next, core::ptr::null_mut(), newring) {
-                Ok(()) => {
-                    let _ = ops::ptr::cas_ptr(&self.tail, crq, newring);
-                    placed_total += seed_len;
-                    rest = &rest[seed_len..];
-                }
-                Err(_) => {
-                    // Another enqueuer linked first; ours was never linked.
-                    // SAFETY: newring is unpublished and uniquely owned.
-                    self.release_ring(unsafe { Box::from_raw(newring) });
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-        self.domain.clear(HP_SLOT);
-        Ok(())
-    }
-
-    /// Removes up to `max` of the oldest values, appending them to `out` in
-    /// queue order; returns how many were removed. A return `< max` is a
-    /// linearizable EMPTY observation, exactly like a scalar
-    /// [`dequeue`](Self::dequeue) returning `None`.
-    ///
-    /// Reserves head indices in bulk — one `FAA(head, k)` for up to `k`
-    /// items, bounded by the observed backlog (see [`Crq::dequeue_batch`]).
-    /// When the bulk path finds nothing it falls back to one scalar
-    /// dequeue, which performs the December-2013 erratum double-check and
-    /// the head-ring switch, then resumes bulk reservations on the new
-    /// ring. Each removed item linearizes as an individual dequeue; items
-    /// of one reservation are consecutive in queue order.
-    pub fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
-        let mut taken = 0usize;
-        while taken < max {
-            let crq = self.domain.protect(HP_SLOT, &self.head);
-            // SAFETY: hazard-protected.
-            let crq_ref = unsafe { &*crq };
-            self.cluster_gate(crq_ref);
-            let got = crq_ref.dequeue_batch(out, max - taken);
-            taken += got;
-            if got > 0 {
-                continue;
-            }
-            // Bulk reservation found nothing: one scalar dequeue settles
-            // emptiness (erratum double-check) and switches rings. It
-            // re-protects and clears HP_SLOT internally.
-            match self.dequeue() {
-                Some(v) => {
-                    out.push(v);
-                    taken += 1;
-                }
-                None => break, // linearizable EMPTY
-            }
-        }
-        self.domain.clear(HP_SLOT);
-        taken
-    }
-
-    /// Whether the queue appears empty (racy snapshot; `dequeue` is the
-    /// linearizable way to observe emptiness).
-    pub fn is_empty_hint(&self) -> bool {
-        let crq = self.domain.protect(HP_SLOT, &self.head);
-        // SAFETY: hazard-protected.
-        let crq_ref = unsafe { &*crq };
-        let empty = crq_ref.head_index() >= crq_ref.tail_index()
-            && crq_ref.next.load(Ordering::SeqCst).is_null();
-        self.domain.clear(HP_SLOT);
-        empty
-    }
-
-    /// Number of CRQ rings currently linked (diagnostic; racy).
-    pub fn ring_count(&self) -> usize {
-        let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            count += 1;
-            // SAFETY: only used in quiescent diagnostics/tests; racing
-            // reclamation could invalidate this walk in live use.
-            cur = unsafe { (*cur).next.load(Ordering::SeqCst) };
-        }
-        count
-    }
-}
-
-impl<P: FaaPolicy> Default for LcrqGeneric<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: FaaPolicy> core::fmt::Debug for LcrqGeneric<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Lcrq")
-            .field("faa_policy", &P::name())
-            .field("ring_order", &self.config.ring_order)
-            .field("hierarchical", &self.config.hierarchical.is_some())
-            .field("rings", &self.ring_count())
-            .field("pooled_rings", &self.pool.len())
-            .finish()
-    }
-}
-
-impl<P: FaaPolicy> FromIterator<u64> for LcrqGeneric<P> {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let q = Self::new();
-        for v in iter {
-            q.enqueue(v);
-        }
-        q
-    }
-}
-
-impl<P: FaaPolicy> Extend<u64> for LcrqGeneric<P> {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        let values: Vec<u64> = iter.into_iter().collect();
-        self.enqueue_batch(&values);
-    }
-}
+/// The LCRQ generic over the fetch-and-add policy.
+pub type LcrqGeneric<P> = RingList<Crq<P>>;
 
 /// Draining iterator returned by [`LcrqGeneric::drain`].
-pub struct Drain<'a, P: FaaPolicy> {
-    queue: &'a LcrqGeneric<P>,
-}
+pub type Drain<'a, P> = ring_list::Drain<'a, Crq<P>>;
 
-impl<P: FaaPolicy> Iterator for Drain<'_, P> {
-    type Item = u64;
-    fn next(&mut self) -> Option<u64> {
-        self.queue.dequeue()
+impl<P: FaaPolicy> TantrumRing for Crq<P> {
+    type Faa = P;
+    type Pool = Arc<RingPool<P>>;
+
+    fn new_pool(config: &LcrqConfig) -> Arc<RingPool<P>> {
+        RingPool::new(config.ring_pool_capacity)
     }
-}
 
-impl<P: FaaPolicy> LcrqGeneric<P> {
-    /// Returns an iterator that dequeues until the queue reports empty.
-    /// Safe to use concurrently with other operations (it is just repeated
-    /// `dequeue`); it ends at the first linearizable EMPTY it observes.
-    pub fn drain(&self) -> Drain<'_, P> {
-        Drain { queue: self }
+    /// A heap ring carrying the pool back-pointer, so its eventual
+    /// retirement recycles it.
+    fn with_seed(config: &LcrqConfig, pool: &Arc<RingPool<P>>, seed: &[u64]) -> Self {
+        let ring = Crq::with_seed_batch(config, seed);
+        ring.attach_pool(Arc::downgrade(pool));
+        ring
     }
-}
 
-impl<P: FaaPolicy> Drop for LcrqGeneric<P> {
-    fn drop(&mut self) {
-        // Exclusive access: free the whole ring chain. A ring is reachable
-        // here *or* from the pool, never both — pooled rings had their
-        // `next` nulled by scrubbing (it then only ever links other pooled
-        // rings), and chain rings are by definition not yet retired — so
-        // the chain walk and the pool's own drop cannot double-free.
-        // Rings retired earlier but not yet reclaimed are dispatched when
-        // `domain` drops (before `pool`, see field order): each is either
-        // parked in the pool and freed by the pool's drop, or freed
-        // directly when the pool is already full.
-        let mut cur = *self.head.get_mut();
-        while !cur.is_null() {
-            // SAFETY: exclusive access in drop.
-            let ring = unsafe { Box::from_raw(cur) };
-            cur = ring.next.load(Ordering::Relaxed);
-        }
+    #[inline]
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
-}
 
-// SAFETY: the queue transfers plain u64 values; all structure is atomic.
-unsafe impl<P: FaaPolicy> Send for LcrqGeneric<P> {}
-unsafe impl<P: FaaPolicy> Sync for LcrqGeneric<P> {}
-
-impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for LcrqGeneric<P> {
-    fn enqueue(&self, value: u64) {
-        LcrqGeneric::enqueue(self, value)
+    #[inline]
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+        Crq::enqueue(self, value)
     }
+
+    #[inline]
     fn dequeue(&self) -> Option<u64> {
-        LcrqGeneric::dequeue(self)
+        Crq::dequeue(self)
     }
-    // Native overrides: one F&A reserves the whole batch's indices instead
-    // of the default scalar loop's one F&A per item.
-    fn enqueue_batch(&self, values: &[u64]) {
-        LcrqGeneric::enqueue_batch(self, values)
+
+    fn close(&self) {
+        Crq::close(self);
     }
-    fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
-        LcrqGeneric::dequeue_batch(self, out, max)
+
+    fn is_closed(&self) -> bool {
+        Crq::is_closed(self)
     }
-    fn name(&self) -> &'static str {
-        match (P::name(), self.config.hierarchical.is_some()) {
+
+    fn head_index(&self) -> u64 {
+        Crq::head_index(self)
+    }
+
+    fn tail_index(&self) -> u64 {
+        Crq::tail_index(self)
+    }
+
+    fn capacity(&self) -> u64 {
+        self.ring_size()
+    }
+
+    fn name(config: &LcrqConfig) -> &'static str {
+        match (P::name(), config.hierarchical.is_some()) {
             ("faa", false) => "lcrq",
             ("faa", true) => "lcrq+h",
             ("cas-loop", false) => "lcrq-cas",
@@ -641,25 +92,89 @@ impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for LcrqGeneric<P> {
             _ => "lcrq-custom",
         }
     }
-    fn is_nonblocking(&self) -> bool {
-        true
+
+    /// LCRQ+H cluster gate (§4.1.1): wait briefly for the ring's cluster to
+    /// become ours, then seize it and enter regardless — so the optimization
+    /// batches same-cluster operations without ever blocking.
+    #[inline]
+    fn enter(&self, config: &LcrqConfig) {
+        let Some(h) = &config.hierarchical else {
+            return;
+        };
+        let mine = current_cluster() as u64;
+        if self.cluster.load(Ordering::Relaxed) == mine {
+            return;
+        }
+        let deadline = SpinDeadline::new(h.timeout);
+        loop {
+            if self.cluster.load(Ordering::Relaxed) == mine {
+                return;
+            }
+            if deadline.expired() {
+                let seen = self.cluster.load(Ordering::Relaxed);
+                let _ = ops::cas(&self.cluster, seen, mine);
+                return; // enter even if the CAS failed
+            }
+            deadline.pause();
+        }
+    }
+
+    #[inline]
+    fn enqueue_batch(&self, values: &[u64]) -> usize {
+        Crq::enqueue_batch(self, values)
+    }
+
+    #[inline]
+    fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        Crq::dequeue_batch(self, out, max)
+    }
+
+    /// Pops a scrubbed ring from the pool (protecting its stack-pop
+    /// candidate in `slot`) and seeds it: a spill that allocates nothing.
+    fn reuse(
+        pool: &Arc<RingPool<P>>,
+        domain: &Domain,
+        slot: usize,
+        seed: &[u64],
+    ) -> Option<Box<Self>> {
+        let ring = pool.pop(domain, slot)?;
+        ring.reseed(seed);
+        Some(ring)
+    }
+
+    /// Back to the pool for the next spill, else deferred-freed. The free
+    /// goes through the hazard domain even though the ring was never
+    /// queue-visible — if it came out of the pool, a concurrent
+    /// [`RingPool::pop`] can still hold a hazard-protected pointer to it
+    /// from a lost pop race.
+    fn release(ring: Box<Self>, pool: &Arc<RingPool<P>>, domain: &Domain) {
+        if let Err(ring) = pool.push(ring) {
+            // SAFETY: unpublished at queue level and uniquely owned here;
+            // the domain defers the free past any straggling pool popper.
+            unsafe { domain.retire(Box::into_raw(ring)) };
+        }
+    }
+
+    /// Hazard retirement whose reclaimer scrubs the ring into the pool
+    /// instead of freeing it (falling back to a free when the pool is full
+    /// or gone).
+    unsafe fn retire(ring: *mut Self, pool: &Arc<RingPool<P>>, domain: &Domain) {
+        // SAFETY: forwarded from this function's contract.
+        unsafe { domain.retire_with(ring as *mut (), pool::recycle_ring::<P>) };
+        if !pool.is_full() {
+            // Feed the pool promptly: at the domain's default scan
+            // threshold, a pile of reusable rings would sit retired while
+            // the spill path allocates fresh ones.
+            domain.scan();
+        }
     }
 }
 
-impl<P: FaaPolicy> lcrq_queues::ClosableQueue for LcrqGeneric<P> {
-    fn close(&self) -> bool {
-        LcrqGeneric::close(self)
-    }
-    fn is_closed(&self) -> bool {
-        LcrqGeneric::is_closed(self)
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        LcrqGeneric::try_enqueue(self, value)
-    }
-    // Native override: surfaces a refused ring allocation as
-    // `AllocFailed` instead of the default's retry-until-closed.
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        LcrqGeneric::try_enqueue_fallible(self, value)
+impl<P: FaaPolicy> LcrqGeneric<P> {
+    /// The ring recycling pool attached to this queue (diagnostic: its
+    /// `len`/`capacity` bound the retired-ring memory kept for reuse).
+    pub fn ring_pool(&self) -> &RingPool<P> {
+        self.pool()
     }
 }
 

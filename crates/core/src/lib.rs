@@ -14,11 +14,14 @@
 //!   semantics: an enqueue may refuse and permanently close the ring. In the
 //!   common case an operation touches only one of head/tail — half the
 //!   synchronization of prior array queues.
-//! * [`Lcrq`] — a Michael–Scott linked list of CRQs: enqueuers that find the
-//!   tail ring closed append a fresh ring; dequeuers drain the head ring and
-//!   swing past it when empty. Retired rings are reclaimed with hazard
+//! * [`ring_list::RingList`] — the Michael–Scott linked list of tantrum
+//!   rings, written once over the [`TantrumRing`] trait: enqueuers that find
+//!   the tail ring closed append a fresh ring; dequeuers drain the head ring
+//!   and swing past it when empty. Retired rings are reclaimed with hazard
 //!   pointers. This restores unbounded, never-refusing queue semantics and
 //!   the op-wise nonblocking property.
+//! * [`Lcrq`] — the list over CRQs (`RingList<Crq>`), recycling retired
+//!   rings through a [`RingPool`].
 //! * [`LcrqCas`] — the same algorithm with every F&A emulated by a CAS loop
 //!   (the paper's LCRQ-CAS), isolating the contribution of always-succeeding
 //!   F&A. Generic parameter: [`lcrq_atomic::FaaPolicy`].
@@ -28,22 +31,23 @@
 //!   (Nikolaev's SCQ, arXiv:1908.04511): cycle-tagged single-word entries,
 //!   a threshold counter for livelock-free dequeue, and index indirection
 //!   for arbitrary payloads — no double-width CAS anywhere, so this
-//!   backend would run on non-x86 targets. [`Lscq`] links SCQ rings with
-//!   the same tantrum/CLOSED convention as [`Lcrq`].
+//!   backend would run on non-x86 targets. [`Lscq`] is the same list over
+//!   SCQ rings (`RingList<ScqD>`).
 //! * [`wcq::Wcq`] — the wait-free sibling (Nikolaev's wCQ,
 //!   arXiv:2201.02179): the SCQ cycle arithmetic plus per-ring request
 //!   records and help-first scanning, so every operation completes in a
 //!   bounded number of its own steps even when peers stall. See the
-//!   module docs for the claim-serialized helping protocol.
+//!   module docs for the claim-serialized helping protocol. [`Wcq`] is
+//!   `RingList<WcqRing>`.
 //! * [`sharded::ShardedQueue`] — a relaxed d-choice front-end: N shards of
 //!   any backend behind one facade, balanced by cached length estimates,
 //!   with an exact-empty fallback sweep. Trades a bounded amount of
 //!   cross-shard FIFO order for throughput.
 //! * [`infinite::InfiniteArrayQueue`] — the idealized Figure-2 queue the
 //!   CRQ is derived from (SWAP-based, livelock-prone; educational).
-//! * [`typed::TypedLcrq`] — a generic `T`-valued facade over the raw `u64`
-//!   queue (values are boxed; the queue transfers pointers, as the paper's
-//!   workloads do).
+//! * [`Typed`] — a generic `T`-valued facade over any ring list (values are
+//!   boxed; the queue transfers pointers, as the paper's workloads do);
+//!   [`TypedLcrq`], [`TypedLscq`] and [`TypedWcq`] are its aliases.
 //!
 //! # Quick start
 //!
@@ -68,6 +72,7 @@ pub mod lcrq;
 pub mod lscq;
 pub mod node;
 pub mod pool;
+pub mod ring_list;
 pub mod scq;
 pub mod sharded;
 pub mod typed;
@@ -78,9 +83,10 @@ pub use crq::{Crq, CrqClosed};
 pub use lcrq::{Lcrq, LcrqCas, LcrqGeneric};
 pub use lscq::{Lscq, LscqCas, LscqGeneric};
 pub use pool::RingPool;
+pub use ring_list::{RingList, TantrumRing};
 pub use scq::{Scq, ScqD};
 pub use sharded::{rank_error_bound_for, ShardedConfig, ShardedQueue};
-pub use typed::{TypedLcrq, TypedLscq, TypedWcq};
+pub use typed::{Typed, TypedLcrq, TypedLscq, TypedWcq};
 pub use wcq::{Wcq, WcqGeneric, WcqRing};
 
 /// The reserved "empty cell" value ⊥. User values must be strictly below it.

@@ -1,10 +1,6 @@
-//! LSCQ — an unbounded MS-style linked list of [`ScqD`] rings, the
+//! LSCQ — the shared [`RingList`] protocol over [`ScqD`] rings, the
 //! portable sibling of [`Lcrq`](crate::Lcrq).
 //!
-//! Structure and protocol mirror the LCRQ (lcrq.rs) exactly: enqueuers
-//! work in the tail ring and race to append a fresh ring — pre-seeded with
-//! their item — when it tantrums; dequeuers drain the head ring and swing
-//! past it when empty, retiring abandoned rings through hazard pointers.
 //! Two SCQ-specific twists:
 //!
 //! * The abandonment double-check (the December-2013 LCRQ erratum) first
@@ -15,23 +11,19 @@
 //!   ring already closed its tail is frozen, so the forced scan terminates.
 //!   (Nikolaev's unbounded SCQ does the same.)
 //! * There is no recycling pool: rings are plain heap boxes, freed through
-//!   the hazard [`Domain`] once no dequeuer can still hold them.
+//!   the hazard domain once no dequeuer can still hold them.
 //!
 //! Because SCQ needs only single-word atomics, this is the one unbounded
 //! queue in the repo that would run on non-x86 targets unchanged.
 
-use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use core::sync::atomic::AtomicPtr;
 
-use lcrq_atomic::{ops, CasLoopFaa, FaaPolicy, HardwareFaa};
-use lcrq_hazard::Domain;
-use lcrq_queues::EnqueueError;
-use lcrq_util::backoff::Backoff;
-use lcrq_util::metrics::{self, Event};
-use lcrq_util::CachePadded;
+use lcrq_atomic::{CasLoopFaa, FaaPolicy, HardwareFaa};
 
 use crate::config::LcrqConfig;
+use crate::crq::CrqClosed;
+use crate::ring_list::{self, RingList, TantrumRing};
 use crate::scq::ScqD;
-use crate::BOTTOM;
 
 /// The unbounded SCQ list with hardware fetch-and-add.
 pub type Lscq = LscqGeneric<HardwareFaa>;
@@ -50,344 +42,65 @@ pub type LscqCas = LscqGeneric<CasLoopFaa>;
 /// assert_eq!(q.dequeue(), Some(10));
 /// assert_eq!(q.dequeue(), None);
 /// ```
-pub struct LscqGeneric<P: FaaPolicy> {
-    head: CachePadded<AtomicPtr<ScqD<P>>>,
-    tail: CachePadded<AtomicPtr<ScqD<P>>>,
-    domain: Domain,
-    config: LcrqConfig,
-    /// Queue-level shutdown flag; same fence protocol as
-    /// [`LcrqGeneric::close`](crate::LcrqGeneric::close).
-    closed: AtomicBool,
-}
-
-/// Hazard slot used for the ring an operation is about to access.
-const HP_SLOT: usize = 0;
-
-impl<P: FaaPolicy> LscqGeneric<P> {
-    /// Creates an empty queue with the default [`LcrqConfig`].
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration
-    /// (`ring_order` sets the per-ring capacity; the LCRQ-only knobs —
-    /// starvation limit, bounded wait, hierarchy, ring pool — are ignored).
-    pub fn with_config(config: LcrqConfig) -> Self {
-        let first = Box::into_raw(Box::new(ScqD::<P>::new(&config)));
-        Self {
-            head: CachePadded::new(AtomicPtr::new(first)),
-            tail: CachePadded::new(AtomicPtr::new(first)),
-            domain: Domain::new(),
-            config,
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &LcrqConfig {
-        &self.config
-    }
-
-    /// The queue's hazard-pointer domain (diagnostic: lets tests assert the
-    /// calling thread's retired-ring backlog stays within the domain's
-    /// reclamation threshold even while other participants are stalled
-    /// holding published hazards).
-    pub fn hazard_domain(&self) -> &Domain {
-        &self.domain
-    }
-
-    /// Appends `value` (must be `< BOTTOM`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been [`close`](Self::close)d; use
-    /// [`try_enqueue`](Self::try_enqueue) when shutdown is possible.
-    pub fn enqueue(&self, value: u64) {
-        if self.try_enqueue(value).is_err() {
-            panic!("enqueue on a closed Lscq (use try_enqueue to handle shutdown)");
-        }
-    }
-
-    /// Appends `value` (must be `< BOTTOM`) unless the queue has been
-    /// [`close`](Self::close)d, in which case the value is handed back as
-    /// `Err(value)`. Same shutdown fence as
-    /// [`LcrqGeneric::try_enqueue`](crate::LcrqGeneric::try_enqueue): the
-    /// closed flag is re-checked after a ring tantrum, so no enqueuer can
-    /// append a fresh ring to a closed queue.
-    pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                Err(EnqueueError::AllocFailed(_)) => {
-                    // Transient (injected) refusal: back off and retry,
-                    // preserving the "closed is the only failure" contract.
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Like [`try_enqueue`](Self::try_enqueue), but also surfaces a refused
-    /// ring allocation as [`EnqueueError::AllocFailed`] instead of retrying
-    /// internally (the refusal exists today only as the `ring-alloc` fail
-    /// point — the LSCQ has no recycling pool, so every spill allocates).
-    /// The queue stays open after an `AllocFailed`; the value is handed
-    /// back unplaced.
-    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(EnqueueError::Closed(value));
-            }
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected, so it cannot be reclaimed while we
-            // use it.
-            let ring_ref = unsafe { &*ring };
-            // Help a half-finished append: tail must point at the last ring.
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if !next.is_null() {
-                let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-                continue;
-            }
-            if ring_ref.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
-                return Ok(());
-            }
-            // Ring closed. Distinguish shutdown close from tantrum close:
-            // if the *queue* is closed, fail instead of linking a new ring.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::Closed(value));
-            }
-            // Fail point in the close-race window: between observing the
-            // tantrum and racing to link a replacement ring.
-            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CloseRace);
-            if lcrq_util::fault::inject(lcrq_util::fault::Site::RingAlloc) {
-                metrics::inc(Event::AllocDegraded);
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::AllocFailed(value));
-            }
-            // Tantrum: race to append a fresh ring seeded with the value.
-            let newring = Box::into_raw(Box::new(ScqD::<P>::with_seed(
-                &self.config,
-                core::slice::from_ref(&value),
-            )));
-            match ops::ptr::cas_ptr(&ring_ref.next, core::ptr::null_mut(), newring) {
-                Ok(()) => {
-                    let _ = ops::ptr::cas_ptr(&self.tail, ring, newring);
-                    self.domain.clear(HP_SLOT);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Another enqueuer linked first; ours was never
-                    // published, so a plain drop suffices.
-                    // SAFETY: unpublished and uniquely owned.
-                    drop(unsafe { Box::from_raw(newring) });
-                    // Lost link race: bounded jittered backoff before the
-                    // next round de-synchronizes the contenders.
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Closes the queue for further enqueues: every subsequent
-    /// [`try_enqueue`](Self::try_enqueue) fails and [`enqueue`](Self::enqueue)
-    /// panics, while dequeues keep draining what was already placed.
-    /// Returns `true` on the first call. The flag-then-close-the-chain
-    /// protocol (and its no-lost-item argument) is identical to
-    /// [`LcrqGeneric::close`](crate::LcrqGeneric::close).
-    pub fn close(&self) -> bool {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            ring_ref.close();
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return true;
-            }
-            let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-        }
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Removes the oldest value, or `None` when the queue is empty.
-    pub fn dequeue(&self) -> Option<u64> {
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.head);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return None;
-            }
-            // Abandonment double-check (the LCRQ erratum), SCQ edition:
-            // re-arm the threshold first so the check actually scans — a
-            // racing enqueue may have published its entry without yet
-            // resetting the counter. The ring is closed (it has a `next`),
-            // so its tail is frozen and the scan terminates.
-            ring_ref.reset_threshold();
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
-                self.domain.clear(HP_SLOT);
-                // SAFETY: `ring` is now unreachable from the queue; hazard
-                // retirement defers the free past any straggling readers.
-                unsafe { self.domain.retire(ring) };
-            } else {
-                self.domain.clear(HP_SLOT);
-            }
-        }
-    }
-
-    /// Whether the queue appears empty (racy snapshot; `dequeue` is the
-    /// linearizable way to observe emptiness).
-    pub fn is_empty_hint(&self) -> bool {
-        let ring = self.domain.protect(HP_SLOT, &self.head);
-        // SAFETY: hazard-protected.
-        let ring_ref = unsafe { &*ring };
-        let empty = ring_ref.head_index() >= ring_ref.tail_index()
-            && ring_ref.next.load(Ordering::SeqCst).is_null();
-        self.domain.clear(HP_SLOT);
-        empty
-    }
-
-    /// Number of rings currently linked (diagnostic; racy).
-    pub fn ring_count(&self) -> usize {
-        let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            count += 1;
-            // SAFETY: only used in quiescent diagnostics/tests.
-            cur = unsafe { (*cur).next.load(Ordering::SeqCst) };
-        }
-        count
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty
-    /// (repeated [`dequeue`](Self::dequeue); safe under concurrency).
-    pub fn drain(&self) -> Drain<'_, P> {
-        Drain { queue: self }
-    }
-}
-
-impl<P: FaaPolicy> Default for LscqGeneric<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: FaaPolicy> core::fmt::Debug for LscqGeneric<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Lscq")
-            .field("faa_policy", &P::name())
-            .field("ring_order", &self.config.ring_order)
-            .field("rings", &self.ring_count())
-            .finish()
-    }
-}
-
-impl<P: FaaPolicy> FromIterator<u64> for LscqGeneric<P> {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let q = Self::new();
-        for v in iter {
-            q.enqueue(v);
-        }
-        q
-    }
-}
-
-impl<P: FaaPolicy> Extend<u64> for LscqGeneric<P> {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for v in iter {
-            self.enqueue(v);
-        }
-    }
-}
+pub type LscqGeneric<P> = RingList<ScqD<P>>;
 
 /// Draining iterator returned by [`LscqGeneric::drain`].
-pub struct Drain<'a, P: FaaPolicy> {
-    queue: &'a LscqGeneric<P>,
-}
+pub type Drain<'a, P> = ring_list::Drain<'a, ScqD<P>>;
 
-impl<P: FaaPolicy> Iterator for Drain<'_, P> {
-    type Item = u64;
-    fn next(&mut self) -> Option<u64> {
-        self.queue.dequeue()
+impl<P: FaaPolicy> TantrumRing for ScqD<P> {
+    type Faa = P;
+    type Pool = ();
+
+    fn new_pool(_config: &LcrqConfig) {}
+
+    fn with_seed(config: &LcrqConfig, _pool: &(), seed: &[u64]) -> Self {
+        ScqD::with_seed(config, seed)
     }
-}
 
-impl<P: FaaPolicy> Drop for LscqGeneric<P> {
-    fn drop(&mut self) {
-        // Exclusive access: free the whole chain. Rings retired earlier but
-        // not yet reclaimed are freed when `domain` drops.
-        let mut cur = *self.head.get_mut();
-        while !cur.is_null() {
-            // SAFETY: exclusive access in drop.
-            let ring = unsafe { Box::from_raw(cur) };
-            cur = ring.next.load(Ordering::Relaxed);
-        }
+    #[inline]
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
-}
 
-// SAFETY: the queue transfers plain u64 values; all structure is atomic.
-unsafe impl<P: FaaPolicy> Send for LscqGeneric<P> {}
-unsafe impl<P: FaaPolicy> Sync for LscqGeneric<P> {}
-
-impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for LscqGeneric<P> {
-    fn enqueue(&self, value: u64) {
-        LscqGeneric::enqueue(self, value);
+    #[inline]
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+        ScqD::enqueue(self, value)
     }
+
+    #[inline]
     fn dequeue(&self) -> Option<u64> {
-        LscqGeneric::dequeue(self)
+        ScqD::dequeue(self)
     }
-    // Batch ops use the trait's scalar-loop defaults: SCQ has no multi-slot
-    // reservation path (a k-wide F&A would claim k entries whose cycles the
-    // single-word protocol cannot validate as a group).
-    fn name(&self) -> &'static str {
+
+    fn close(&self) {
+        ScqD::close(self);
+    }
+
+    fn is_closed(&self) -> bool {
+        ScqD::is_closed(self)
+    }
+
+    fn head_index(&self) -> u64 {
+        ScqD::head_index(self)
+    }
+
+    fn tail_index(&self) -> u64 {
+        ScqD::tail_index(self)
+    }
+
+    fn capacity(&self) -> u64 {
+        ScqD::capacity(self)
+    }
+
+    fn name(_config: &LcrqConfig) -> &'static str {
         match P::name() {
             "faa" => "lscq",
             _ => "lscq-cas",
         }
     }
-    fn is_nonblocking(&self) -> bool {
-        true
-    }
-}
 
-impl<P: FaaPolicy> lcrq_queues::ClosableQueue for LscqGeneric<P> {
-    fn close(&self) -> bool {
-        LscqGeneric::close(self)
-    }
-    fn is_closed(&self) -> bool {
-        LscqGeneric::is_closed(self)
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        LscqGeneric::try_enqueue(self, value)
-    }
-    // Native override: surfaces a refused ring allocation as
-    // `AllocFailed` instead of the default's retry-until-closed.
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        LscqGeneric::try_enqueue_fallible(self, value)
+    fn before_abandon(&self) {
+        self.reset_threshold();
     }
 }
 

@@ -1,18 +1,21 @@
-//! A generic typed facade over the raw `u64` LCRQ.
+//! A generic typed facade over the raw `u64` queues.
 //!
 //! The paper's queue transfers 64-bit integers or pointers (Figure 3a,
-//! "val: 64 bits (int or pointer)"). [`TypedLcrq<T>`] takes the pointer
-//! route: values are boxed and the queue moves the box address, so any
-//! `Send` type rides the same lock-free fast path.
+//! "val: 64 bits (int or pointer)"). [`Typed<T, R>`] takes the pointer
+//! route over any [`RingList<R>`]: values are boxed and the queue moves the
+//! box address, so any `Send` type rides the same nonblocking fast path.
 
 use core::marker::PhantomData;
 
-use lcrq_atomic::{FaaPolicy, HardwareFaa};
+use lcrq_atomic::HardwareFaa;
 
 use crate::config::LcrqConfig;
-use crate::lcrq::LcrqGeneric;
+use crate::crq::Crq;
+use crate::ring_list::{RingList, TantrumRing};
+use crate::scq::ScqD;
+use crate::wcq::WcqRing;
 
-/// An unbounded, linearizable, op-wise nonblocking MPMC FIFO queue of `T`.
+/// The typed LCRQ: boxed values ride the CRQ's F&A/CAS2 fast path.
 ///
 /// ```
 /// use lcrq_core::TypedLcrq;
@@ -23,12 +26,58 @@ use crate::lcrq::LcrqGeneric;
 /// assert_eq!(q.dequeue().as_deref(), Some("world"));
 /// assert_eq!(q.dequeue(), None);
 /// ```
-pub struct TypedLcrq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: LcrqGeneric<P>,
+pub type TypedLcrq<T, P = HardwareFaa> = Typed<T, Crq<P>>;
+
+/// The typed facade over the portable SCQ-based [`Lscq`](crate::Lscq):
+/// the box address goes through the SCQ index indirection like any other
+/// `u64`.
+///
+/// ```
+/// use lcrq_core::TypedLscq;
+/// let q: TypedLscq<String> = TypedLscq::new();
+/// q.enqueue("hello".to_string());
+/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
+/// assert_eq!(q.dequeue(), None);
+/// ```
+pub type TypedLscq<T, P = HardwareFaa> = Typed<T, ScqD<P>>;
+
+/// The typed facade over the wait-free [`Wcq`](crate::Wcq), so channels
+/// and other `T`-valued layers inherit its bounded-steps progress class.
+///
+/// ```
+/// use lcrq_core::TypedWcq;
+/// let q: TypedWcq<String> = TypedWcq::new();
+/// q.enqueue("hello".to_string());
+/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
+/// assert_eq!(q.dequeue(), None);
+/// ```
+pub type TypedWcq<T, P = HardwareFaa> = Typed<T, WcqRing<P>>;
+
+/// An unbounded, linearizable MPMC FIFO queue of `T` over a list of `R`
+/// rings.
+pub struct Typed<T: Send, R: TantrumRing = Crq> {
+    inner: RingList<R>,
     _marker: PhantomData<T>,
 }
 
-impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
+/// Boxes `value`; the box address is the queue item.
+fn into_item<T>(value: T) -> u64 {
+    let ptr = Box::into_raw(Box::new(value)) as u64;
+    debug_assert!(ptr < crate::BOTTOM && ptr != 0);
+    ptr
+}
+
+/// Takes back the value behind a queue item.
+///
+/// # Safety
+///
+/// `item` came from [`into_item::<T>`] and is taken back exactly once.
+unsafe fn from_item<T>(item: u64) -> T {
+    // SAFETY: forwarded from this function's contract.
+    *unsafe { Box::from_raw(item as *mut T) }
+}
+
+impl<T: Send, R: TantrumRing> Typed<T, R> {
     /// Creates an empty queue with the default configuration.
     pub fn new() -> Self {
         Self::with_config(LcrqConfig::default())
@@ -37,37 +86,31 @@ impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
     /// Creates an empty queue with an explicit configuration.
     pub fn with_config(config: LcrqConfig) -> Self {
         Self {
-            inner: LcrqGeneric::with_config(config),
+            inner: RingList::with_config(config),
             _marker: PhantomData,
         }
     }
 
     /// Appends `value`.
     pub fn enqueue(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as u64;
-        debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
+        self.inner.enqueue(into_item(value));
     }
 
     /// Removes and returns the oldest value, or `None` if empty.
     pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T` that
-            // is handed out exactly once (queue items are dequeued exactly
-            // once by linearizability).
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
+        // SAFETY: every item in the queue is a boxed `T` that is handed out
+        // exactly once (queue items are dequeued exactly once by
+        // linearizability).
+        self.inner.dequeue().map(|item| unsafe { from_item(item) })
     }
 
     /// Appends `value` unless the queue has been [`close`](Self::close)d,
     /// in which case ownership is handed back as `Err(value)`.
     pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
-            // SAFETY: the queue rejected the pointer, so we still own the
-            // box we just created.
-            *unsafe { Box::from_raw(ptr as *mut T) }
+        self.inner.try_enqueue(into_item(value)).map_err(|item| {
+            // SAFETY: the queue rejected the item, so we still own the box
+            // we just created.
+            unsafe { from_item(item) }
         })
     }
 
@@ -77,28 +120,18 @@ impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
     /// `Err(remainder)`. Items of the placed prefix are in the queue and
     /// will be drained by receivers like any others.
     pub fn try_extend(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        let ptrs: Vec<u64> = values
-            .into_iter()
-            .map(|value| {
-                let ptr = Box::into_raw(Box::new(value)) as u64;
-                debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-                ptr
-            })
-            .collect();
-        match self.inner.try_enqueue_batch(&ptrs) {
-            Ok(()) => Ok(()),
-            Err(placed) => Err(ptrs[placed..]
+        let items: Vec<u64> = values.into_iter().map(into_item).collect();
+        self.inner.try_enqueue_batch(&items).map_err(|placed| {
+            // SAFETY: items past `placed` were never enqueued; we still own
+            // those boxes.
+            items[placed..]
                 .iter()
-                .map(|&ptr| {
-                    // SAFETY: slots past `placed` were never enqueued; we
-                    // still own those boxes.
-                    *unsafe { Box::from_raw(ptr as *mut T) }
-                })
-                .collect()),
-        }
+                .map(|&item| unsafe { from_item(item) })
+                .collect()
+        })
     }
 
-    /// Closes the queue for further enqueues (see [`LcrqGeneric::close`]):
+    /// Closes the queue for further enqueues (see [`RingList::close`]):
     /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
     /// drain the remaining items. Returns `true` on the first call.
     pub fn close(&self) -> bool {
@@ -111,394 +144,80 @@ impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
     }
 
     /// Whether the queue appears empty (racy snapshot; see
-    /// [`LcrqGeneric::is_empty_hint`]).
+    /// [`RingList::is_empty_hint`]).
     pub fn is_empty_hint(&self) -> bool {
         self.inner.is_empty_hint()
     }
 
     /// Appends every value of `iter` through the raw batch path: all values
     /// are boxed up front, then their addresses enter the queue via
-    /// multi-slot reservations ([`LcrqGeneric::enqueue_batch`]) — one
-    /// fetch-and-add per reservation instead of one per item.
+    /// [`RingList::enqueue_batch`] — for the LCRQ, one fetch-and-add per
+    /// multi-slot reservation instead of one per item.
     ///
     /// Like the raw batch, this is a sequence of individual enqueues in
     /// iterator order, not an atomic group (see DESIGN.md "Batched
     /// operations"). Takes `&self`: concurrent callers are fine.
     pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        let ptrs: Vec<u64> = iter
-            .into_iter()
-            .map(|value| {
-                let ptr = Box::into_raw(Box::new(value)) as u64;
-                debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-                ptr
-            })
-            .collect();
-        self.inner.enqueue_batch(&ptrs);
+        let items: Vec<u64> = iter.into_iter().map(into_item).collect();
+        self.inner.enqueue_batch(&items);
     }
 
     /// Removes up to `max` of the oldest values, appending them to `out` in
-    /// FIFO order through the raw batch path
-    /// ([`LcrqGeneric::dequeue_batch`]); returns how many were moved.
-    /// A return `< max` is a linearizable EMPTY observation.
+    /// FIFO order through the raw batch path ([`RingList::dequeue_batch`]);
+    /// returns how many were moved. A return `< max` is a linearizable
+    /// EMPTY observation.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut ptrs = Vec::with_capacity(max.min(1024));
-        let taken = self.inner.dequeue_batch(&mut ptrs, max);
-        out.reserve(taken);
-        for ptr in ptrs {
-            // SAFETY: as in `dequeue`, each pointer is a Box::into_raw'd `T`
-            // handed out exactly once.
-            out.push(*unsafe { Box::from_raw(ptr as *mut T) });
-        }
+        let mut items = Vec::with_capacity(max.min(1024));
+        let taken = self.inner.dequeue_batch(&mut items, max);
+        // SAFETY: as in `dequeue`, each item is a boxed `T` handed out
+        // exactly once.
+        out.extend(items.into_iter().map(|item| unsafe { from_item(item) }));
         taken
     }
-}
 
-impl<T: Send, P: FaaPolicy> Default for TypedLcrq<T, P> {
-    fn default() -> Self {
-        Self::new()
+    /// Returns an iterator that dequeues until the queue reports empty.
+    pub fn drain(&self) -> TypedDrain<'_, T, R> {
+        TypedDrain { queue: self }
     }
 }
 
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedLcrq<T, P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedLcrq")
-            .field("value_type", &core::any::type_name::<T>())
-            .finish()
-    }
+/// Draining iterator returned by [`Typed::drain`].
+pub struct TypedDrain<'a, T: Send, R: TantrumRing> {
+    queue: &'a Typed<T, R>,
 }
 
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedLcrq<T, P> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let q = Self::new();
-        q.extend(iter);
-        q
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedLcrq<T, P> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedLcrq::extend(self, iter);
+impl<T: Send, R: TantrumRing> Iterator for TypedDrain<'_, T, R> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        self.queue.dequeue()
     }
 }
 
 /// Draining iterator returned by [`TypedLcrq::drain`].
-pub struct Drain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedLcrq<T, P>,
-}
-
-impl<T: Send, P: FaaPolicy> Iterator for Drain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> TypedLcrq<T, P> {
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> Drain<'_, T, P> {
-        Drain { queue: self }
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Drop for TypedLcrq<T, P> {
-    fn drop(&mut self) {
-        // Drain and drop any remaining boxed values before the rings go.
-        while self.dequeue().is_some() {}
-    }
-}
-
-// SAFETY: the queue owns boxed `T` values in transit; handing them across
-// threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedLcrq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedLcrq<T, P> {}
-
-/// The typed facade over the portable SCQ-based [`LscqGeneric`]: boxed
-/// values ride the single-word-CAS fast path exactly as [`TypedLcrq`]
-/// values ride the CAS2 one (the box address goes through the [`ScqD`]
-/// index indirection like any other `u64`).
-///
-/// ```
-/// use lcrq_core::TypedLscq;
-/// let q: TypedLscq<String> = TypedLscq::new();
-/// q.enqueue("hello".to_string());
-/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-///
-/// [`LscqGeneric`]: crate::LscqGeneric
-/// [`ScqD`]: crate::ScqD
-pub struct TypedLscq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: crate::lscq::LscqGeneric<P>,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Send, P: FaaPolicy> TypedLscq<T, P> {
-    /// Creates an empty queue with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration.
-    pub fn with_config(config: LcrqConfig) -> Self {
-        Self {
-            inner: crate::lscq::LscqGeneric::with_config(config),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Appends `value`.
-    pub fn enqueue(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as u64;
-        debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
-    }
-
-    /// Removes and returns the oldest value, or `None` if empty.
-    pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T`
-            // handed out exactly once by linearizability.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case ownership is handed back as `Err(value)`.
-    pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
-            // SAFETY: the queue rejected the pointer; we still own the box.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends every value of `iter` (scalar enqueues — SCQ has no
-    /// multi-slot reservation path). Takes `&self`: concurrent callers are
-    /// fine.
-    pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        for value in iter {
-            self.enqueue(value);
-        }
-    }
-
-    /// Closes the queue for further enqueues:
-    /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
-    /// drain the remaining items. Returns `true` on the first call.
-    pub fn close(&self) -> bool {
-        self.inner.close()
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        self.inner.is_empty_hint()
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> LscqDrain<'_, T, P> {
-        LscqDrain { queue: self }
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Default for TypedLscq<T, P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedLscq<T, P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedLscq")
-            .field("value_type", &core::any::type_name::<T>())
-            .finish()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedLscq<T, P> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let q = Self::new();
-        q.extend(iter);
-        q
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedLscq<T, P> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedLscq::extend(self, iter);
-    }
-}
+pub type Drain<'a, T, P> = TypedDrain<'a, T, Crq<P>>;
 
 /// Draining iterator returned by [`TypedLscq::drain`].
-pub struct LscqDrain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedLscq<T, P>,
-}
+pub type LscqDrain<'a, T, P> = TypedDrain<'a, T, ScqD<P>>;
 
-impl<T: Send, P: FaaPolicy> Iterator for LscqDrain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
+/// Draining iterator returned by [`TypedWcq::drain`].
+pub type WcqTypedDrain<'a, T, P> = TypedDrain<'a, T, WcqRing<P>>;
 
-impl<T: Send, P: FaaPolicy> Drop for TypedLscq<T, P> {
-    fn drop(&mut self) {
-        // Drain and drop any remaining boxed values before the rings go.
-        while self.dequeue().is_some() {}
-    }
-}
-
-// SAFETY: the queue owns boxed `T` values in transit; handing them across
-// threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedLscq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedLscq<T, P> {}
-
-/// The typed facade over the wait-free [`WcqGeneric`]: boxed values ride
-/// the helped fast path exactly as [`TypedLscq`] values ride the SCQ one,
-/// so channels and other `T`-valued layers inherit the bounded-steps
-/// progress class.
-///
-/// ```
-/// use lcrq_core::TypedWcq;
-/// let q: TypedWcq<String> = TypedWcq::new();
-/// q.enqueue("hello".to_string());
-/// assert_eq!(q.dequeue().as_deref(), Some("hello"));
-/// assert_eq!(q.dequeue(), None);
-/// ```
-///
-/// [`WcqGeneric`]: crate::WcqGeneric
-pub struct TypedWcq<T: Send, P: FaaPolicy = HardwareFaa> {
-    inner: crate::wcq::WcqGeneric<P>,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Send, P: FaaPolicy> TypedWcq<T, P> {
-    /// Creates an empty queue with the default configuration.
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration.
-    pub fn with_config(config: LcrqConfig) -> Self {
-        Self {
-            inner: crate::wcq::WcqGeneric::with_config(config),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Appends `value`.
-    pub fn enqueue(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as u64;
-        debug_assert!(ptr < crate::BOTTOM && ptr != 0);
-        self.inner.enqueue(ptr);
-    }
-
-    /// Removes and returns the oldest value, or `None` if empty.
-    pub fn dequeue(&self) -> Option<T> {
-        self.inner.dequeue().map(|ptr| {
-            // SAFETY: every value in the queue is a Box::into_raw'd `T`
-            // handed out exactly once by linearizability.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case ownership is handed back as `Err(value)`.
-    pub fn try_enqueue(&self, value: T) -> Result<(), T> {
-        let raw = Box::into_raw(Box::new(value));
-        debug_assert!((raw as u64) < crate::BOTTOM && !raw.is_null());
-        self.inner.try_enqueue(raw as u64).map_err(|ptr| {
-            // SAFETY: the queue rejected the pointer; we still own the box.
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Appends every value of `iter` (scalar enqueues — wCQ has no
-    /// multi-slot reservation path). Takes `&self`: concurrent callers are
-    /// fine.
-    pub fn extend<I: IntoIterator<Item = T>>(&self, iter: I) {
-        for value in iter {
-            self.enqueue(value);
-        }
-    }
-
-    /// Batch counterpart of [`try_enqueue`](Self::try_enqueue): appends
-    /// every value of `values` in order, or — if the queue closes partway —
-    /// returns the **unplaced suffix** as `Err(remainder)`. wCQ has no
-    /// multi-slot reservation, so this is a sequence of scalar enqueues;
-    /// the placed prefix is in the queue and drains normally.
-    pub fn try_extend(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        let mut it = values.into_iter();
-        while let Some(value) = it.next() {
-            if let Err(v) = self.try_enqueue(value) {
-                let mut rest = vec![v];
-                rest.extend(it);
-                return Err(rest);
-            }
-        }
-        Ok(())
-    }
-
-    /// Closes the queue for further enqueues:
-    /// [`try_enqueue`](Self::try_enqueue) starts failing while dequeues
-    /// drain the remaining items. Returns `true` on the first call.
-    pub fn close(&self) -> bool {
-        self.inner.close()
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        self.inner.is_empty_hint()
-    }
-
-    /// Removes up to `max` of the oldest values, appending them to `out` in
-    /// FIFO order; returns how many were moved. A return `< max` is a
-    /// linearizable EMPTY observation (scalar dequeues — each one is its
-    /// own linearization point).
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            match self.dequeue() {
-                Some(v) => {
-                    out.push(v);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        taken
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> WcqTypedDrain<'_, T, P> {
-        WcqTypedDrain { queue: self }
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Default for TypedWcq<T, P> {
+impl<T: Send, R: TantrumRing> Default for Typed<T, R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Send, P: FaaPolicy> core::fmt::Debug for TypedWcq<T, P> {
+impl<T: Send, R: TantrumRing> core::fmt::Debug for Typed<T, R> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TypedWcq")
+        f.debug_struct("Typed")
             .field("value_type", &core::any::type_name::<T>())
+            .field("queue", &self.inner)
             .finish()
     }
 }
 
-impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedWcq<T, P> {
+impl<T: Send, R: TantrumRing> FromIterator<T> for Typed<T, R> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let q = Self::new();
         q.extend(iter);
@@ -506,25 +225,13 @@ impl<T: Send, P: FaaPolicy> FromIterator<T> for TypedWcq<T, P> {
     }
 }
 
-impl<T: Send, P: FaaPolicy> Extend<T> for TypedWcq<T, P> {
+impl<T: Send, R: TantrumRing> Extend<T> for Typed<T, R> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        TypedWcq::extend(self, iter);
+        Typed::extend(self, iter);
     }
 }
 
-/// Draining iterator returned by [`TypedWcq::drain`].
-pub struct WcqTypedDrain<'a, T: Send, P: FaaPolicy> {
-    queue: &'a TypedWcq<T, P>,
-}
-
-impl<T: Send, P: FaaPolicy> Iterator for WcqTypedDrain<'_, T, P> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.queue.dequeue()
-    }
-}
-
-impl<T: Send, P: FaaPolicy> Drop for TypedWcq<T, P> {
+impl<T: Send, R: TantrumRing> Drop for Typed<T, R> {
     fn drop(&mut self) {
         // Drain and drop any remaining boxed values before the rings go.
         while self.dequeue().is_some() {}
@@ -533,8 +240,8 @@ impl<T: Send, P: FaaPolicy> Drop for TypedWcq<T, P> {
 
 // SAFETY: the queue owns boxed `T` values in transit; handing them across
 // threads requires `T: Send` (already bounded on the struct).
-unsafe impl<T: Send, P: FaaPolicy> Send for TypedWcq<T, P> {}
-unsafe impl<T: Send, P: FaaPolicy> Sync for TypedWcq<T, P> {}
+unsafe impl<T: Send, R: TantrumRing> Send for Typed<T, R> {}
+unsafe impl<T: Send, R: TantrumRing> Sync for Typed<T, R> {}
 
 #[cfg(test)]
 mod tests {

@@ -39,18 +39,16 @@
 //! tantrum spills, exactly like [`Lscq`](crate::Lscq).
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 
 use lcrq_atomic::{ops, AtomicPair, FaaPolicy, HardwareFaa};
-use lcrq_hazard::Domain;
-use lcrq_queues::EnqueueError;
-use lcrq_util::backoff::Backoff;
 use lcrq_util::fault::{self, Site};
 use lcrq_util::metrics::{self, Event};
 use lcrq_util::{adversary, CachePadded};
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
+use crate::ring_list::{self, RingList, TantrumRing};
 use crate::BOTTOM;
 
 /// Bit 63 of `tail`: the ring is closed to further enqueues.
@@ -1075,12 +1073,10 @@ pub type Wcq = WcqGeneric<HardwareFaa>;
 
 /// An unbounded, linearizable MPMC FIFO queue of `u64` values (`< BOTTOM`)
 /// built from linked [`WcqRing`]s — the wait-free sibling of
-/// [`Lscq`](crate::Lscq).
-///
-/// List structure, tantrum spills, hazard-pointer retirement, and the
-/// abandonment double-check are identical to [`LscqGeneric`](crate::LscqGeneric);
-/// only the ring type differs. Per-operation work inside a ring is bounded
-/// (see the module docs), so a stalled peer cannot starve survivors.
+/// [`Lscq`](crate::Lscq): the shared [`RingList`] protocol with the same
+/// threshold re-arm before abandonment. Per-operation work inside a ring
+/// is bounded (see the module docs), so a stalled peer cannot starve
+/// survivors.
 ///
 /// ```
 /// use lcrq_core::Wcq;
@@ -1089,316 +1085,65 @@ pub type Wcq = WcqGeneric<HardwareFaa>;
 /// assert_eq!(q.dequeue(), Some(10));
 /// assert_eq!(q.dequeue(), None);
 /// ```
-pub struct WcqGeneric<P: FaaPolicy = HardwareFaa> {
-    head: CachePadded<AtomicPtr<WcqRing<P>>>,
-    tail: CachePadded<AtomicPtr<WcqRing<P>>>,
-    domain: Domain,
-    config: LcrqConfig,
-    closed: AtomicBool,
-}
-
-/// Hazard slot used for the ring an operation is about to access.
-const HP_SLOT: usize = 0;
-
-impl<P: FaaPolicy> WcqGeneric<P> {
-    /// Creates an empty queue with the default [`LcrqConfig`].
-    pub fn new() -> Self {
-        Self::with_config(LcrqConfig::default())
-    }
-
-    /// Creates an empty queue with an explicit configuration
-    /// (`ring_order` and `starvation_limit` apply; the LCRQ-only knobs —
-    /// bounded wait, hierarchy, ring pool — are ignored).
-    pub fn with_config(config: LcrqConfig) -> Self {
-        let first = Box::into_raw(Box::new(WcqRing::<P>::new(&config)));
-        Self {
-            head: CachePadded::new(AtomicPtr::new(first)),
-            tail: CachePadded::new(AtomicPtr::new(first)),
-            domain: Domain::new(),
-            config,
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &LcrqConfig {
-        &self.config
-    }
-
-    /// The queue's hazard-pointer domain (diagnostic).
-    pub fn hazard_domain(&self) -> &Domain {
-        &self.domain
-    }
-
-    /// Appends `value` (must be `< BOTTOM`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue has been [`close`](Self::close)d; use
-    /// [`try_enqueue`](Self::try_enqueue) when shutdown is possible.
-    pub fn enqueue(&self, value: u64) {
-        if self.try_enqueue(value).is_err() {
-            panic!("enqueue on a closed Wcq (use try_enqueue to handle shutdown)");
-        }
-    }
-
-    /// Appends `value` unless the queue has been [`close`](Self::close)d,
-    /// in which case the value is handed back as `Err(value)`. Same
-    /// shutdown fence as [`LscqGeneric::try_enqueue`](crate::LscqGeneric::try_enqueue).
-    pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                Err(EnqueueError::AllocFailed(_)) => {
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Like [`try_enqueue`](Self::try_enqueue), but surfaces a refused
-    /// ring allocation (the `ring-alloc` fail point) as
-    /// [`EnqueueError::AllocFailed`] instead of retrying internally.
-    pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(EnqueueError::Closed(value));
-            }
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected, so it cannot be reclaimed while we
-            // use it.
-            let ring_ref = unsafe { &*ring };
-            // Help a half-finished append: tail must point at the last ring.
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if !next.is_null() {
-                let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-                continue;
-            }
-            if ring_ref.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
-                return Ok(());
-            }
-            // Ring closed. Distinguish shutdown close from tantrum close.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::Closed(value));
-            }
-            let _ = fault::inject(Site::CloseRace);
-            if fault::inject(Site::RingAlloc) {
-                metrics::inc(Event::AllocDegraded);
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::AllocFailed(value));
-            }
-            // Tantrum: race to append a fresh ring seeded with the value.
-            let newring = Box::into_raw(Box::new(WcqRing::<P>::with_seed(
-                &self.config,
-                core::slice::from_ref(&value),
-            )));
-            match ops::ptr::cas_ptr(&ring_ref.next, core::ptr::null_mut(), newring) {
-                Ok(()) => {
-                    let _ = ops::ptr::cas_ptr(&self.tail, ring, newring);
-                    self.domain.clear(HP_SLOT);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Another enqueuer linked first; ours was never
-                    // published, so a plain drop suffices.
-                    // SAFETY: unpublished and uniquely owned.
-                    drop(unsafe { Box::from_raw(newring) });
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
-    }
-
-    /// Closes the queue for further enqueues; dequeues keep draining.
-    /// Returns `true` on the first call. Flag-then-close-the-chain, as in
-    /// [`LscqGeneric::close`](crate::LscqGeneric::close).
-    pub fn close(&self) -> bool {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            ring_ref.close();
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return true;
-            }
-            let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-        }
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Removes the oldest value, or `None` when the queue is empty.
-    pub fn dequeue(&self) -> Option<u64> {
-        loop {
-            let ring = self.domain.protect(HP_SLOT, &self.head);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            let next = ring_ref.next.load(Ordering::SeqCst);
-            if next.is_null() {
-                self.domain.clear(HP_SLOT);
-                return None;
-            }
-            // Abandonment double-check (the LCRQ erratum), wCQ edition:
-            // re-arm the threshold so the check actually scans — a racing
-            // enqueue may have placed its entry without yet resetting the
-            // counter. The ring has a `next`, so it is closed and its tail
-            // frozen: the scan terminates.
-            ring_ref.reset_threshold();
-            if let Some(v) = ring_ref.dequeue() {
-                self.domain.clear(HP_SLOT);
-                return Some(v);
-            }
-            if ops::ptr::cas_ptr(&self.head, ring, next).is_ok() {
-                self.domain.clear(HP_SLOT);
-                // SAFETY: `ring` is now unreachable from the queue; hazard
-                // retirement defers the free past any straggling readers.
-                unsafe { self.domain.retire(ring) };
-            } else {
-                self.domain.clear(HP_SLOT);
-            }
-        }
-    }
-
-    /// Whether the queue appears empty (racy snapshot).
-    pub fn is_empty_hint(&self) -> bool {
-        let ring = self.domain.protect(HP_SLOT, &self.head);
-        // SAFETY: hazard-protected.
-        let ring_ref = unsafe { &*ring };
-        let empty = ring_ref.head_index() >= ring_ref.tail_index()
-            && ring_ref.next.load(Ordering::SeqCst).is_null();
-        self.domain.clear(HP_SLOT);
-        empty
-    }
-
-    /// Number of rings currently linked (diagnostic; racy).
-    pub fn ring_count(&self) -> usize {
-        let mut count = 0;
-        let mut cur = self.head.load(Ordering::SeqCst);
-        while !cur.is_null() {
-            count += 1;
-            // SAFETY: only used in quiescent diagnostics/tests.
-            cur = unsafe { (*cur).next.load(Ordering::SeqCst) };
-        }
-        count
-    }
-
-    /// Returns an iterator that dequeues until the queue reports empty.
-    pub fn drain(&self) -> WcqDrain<'_, P> {
-        WcqDrain { queue: self }
-    }
-}
-
-impl<P: FaaPolicy> Default for WcqGeneric<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: FaaPolicy> core::fmt::Debug for WcqGeneric<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Wcq")
-            .field("faa_policy", &P::name())
-            .field("ring_order", &self.config.ring_order)
-            .field("rings", &self.ring_count())
-            .finish()
-    }
-}
-
-impl<P: FaaPolicy> FromIterator<u64> for WcqGeneric<P> {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let q = Self::new();
-        for v in iter {
-            q.enqueue(v);
-        }
-        q
-    }
-}
-
-impl<P: FaaPolicy> Extend<u64> for WcqGeneric<P> {
-    fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
-        for v in iter {
-            self.enqueue(v);
-        }
-    }
-}
+pub type WcqGeneric<P = HardwareFaa> = RingList<WcqRing<P>>;
 
 /// Draining iterator returned by [`WcqGeneric::drain`].
-pub struct WcqDrain<'a, P: FaaPolicy> {
-    queue: &'a WcqGeneric<P>,
-}
+pub type WcqDrain<'a, P> = ring_list::Drain<'a, WcqRing<P>>;
 
-impl<P: FaaPolicy> Iterator for WcqDrain<'_, P> {
-    type Item = u64;
-    fn next(&mut self) -> Option<u64> {
-        self.queue.dequeue()
+// Batch operations keep the trait's scalar loops: a k-wide FAA would
+// reserve k positions whose helped completion the record protocol cannot
+// express as a group.
+impl<P: FaaPolicy> TantrumRing for WcqRing<P> {
+    type Faa = P;
+    type Pool = ();
+
+    fn new_pool(_config: &LcrqConfig) {}
+
+    fn with_seed(config: &LcrqConfig, _pool: &(), seed: &[u64]) -> Self {
+        WcqRing::with_seed(config, seed)
     }
-}
 
-impl<P: FaaPolicy> Drop for WcqGeneric<P> {
-    fn drop(&mut self) {
-        // Exclusive access: free the whole chain. Rings retired earlier but
-        // not yet reclaimed are freed when `domain` drops.
-        let mut cur = *self.head.get_mut();
-        while !cur.is_null() {
-            // SAFETY: exclusive access in drop.
-            let ring = unsafe { Box::from_raw(cur) };
-            cur = ring.next.load(Ordering::Relaxed);
-        }
+    #[inline]
+    fn next(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
-}
 
-// SAFETY: the queue transfers plain u64 values; all structure is atomic.
-unsafe impl<P: FaaPolicy> Send for WcqGeneric<P> {}
-unsafe impl<P: FaaPolicy> Sync for WcqGeneric<P> {}
-
-impl<P: FaaPolicy> lcrq_queues::ConcurrentQueue for WcqGeneric<P> {
-    fn enqueue(&self, value: u64) {
-        WcqGeneric::enqueue(self, value);
+    #[inline]
+    fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
+        WcqRing::enqueue(self, value)
     }
+
+    #[inline]
     fn dequeue(&self) -> Option<u64> {
-        WcqGeneric::dequeue(self)
+        WcqRing::dequeue(self)
     }
-    // Batch ops use the trait's scalar-loop defaults: a k-wide FAA would
-    // reserve k positions whose helped completion the record protocol
-    // cannot express as a group.
-    fn name(&self) -> &'static str {
+
+    fn close(&self) {
+        WcqRing::close(self);
+    }
+
+    fn is_closed(&self) -> bool {
+        WcqRing::is_closed(self)
+    }
+
+    fn head_index(&self) -> u64 {
+        WcqRing::head_index(self)
+    }
+
+    fn tail_index(&self) -> u64 {
+        WcqRing::tail_index(self)
+    }
+
+    fn capacity(&self) -> u64 {
+        WcqRing::capacity(self)
+    }
+
+    fn name(_config: &LcrqConfig) -> &'static str {
         "wcq"
     }
-    fn is_nonblocking(&self) -> bool {
-        true
-    }
-}
 
-impl<P: FaaPolicy> lcrq_queues::ClosableQueue for WcqGeneric<P> {
-    fn close(&self) -> bool {
-        WcqGeneric::close(self)
-    }
-    fn is_closed(&self) -> bool {
-        WcqGeneric::is_closed(self)
-    }
-    fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        WcqGeneric::try_enqueue(self, value)
-    }
-    fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        WcqGeneric::try_enqueue_fallible(self, value)
+    fn before_abandon(&self) {
+        self.reset_threshold();
     }
 }
 

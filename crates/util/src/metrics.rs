@@ -344,6 +344,14 @@ impl Snapshot {
         Snapshot { counts }
     }
 
+    /// Adds `other` into `self` per event (wrapping); lets a harness sum
+    /// the [`local_snapshot`]s of its worker threads.
+    pub fn merge(&mut self, other: &Snapshot) {
+        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *c = c.wrapping_add(*o);
+        }
+    }
+
     /// Iterates `(name, count)` for all non-zero events.
     pub fn nonzero(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counts
