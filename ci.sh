@@ -95,6 +95,9 @@ cargo test --features fault-injection --test wcq_records -q
 # Release builds are where the CAS2 register allocation bit (see the
 # CAS2 register gate): the helping protocol's CAS2 sites run optimized too.
 cargo test --release -p lcrq-core -q wcq
+# The CRQ placement/take steps and the list's one enqueue loop hold the
+# other CAS2 call sites: run their unit suites optimized as well.
+cargo test --release -p lcrq-core -q -- crq:: ring_list:: lcrq::
 cargo test --release --features fault-injection --test wcq_records -q
 cargo test --features fault-injection --test progress -q step_bound
 seed_sweep "wcq stall sweep" "0x1 0x5EED 0xC0FFEE 0xDEADBEEF" \

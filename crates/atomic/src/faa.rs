@@ -16,24 +16,11 @@ use lcrq_util::metrics::{self, Event};
 /// see [`HardwareFaa`] and [`CasLoopFaa`].
 pub trait FaaPolicy: Send + Sync + 'static {
     /// Atomically adds `v` to `*a`, returning the previous value
-    /// (sequentially consistent, like all lock-prefixed x86 RMWs).
+    /// (sequentially consistent, like all lock-prefixed x86 RMWs). An
+    /// addend `v > 1` is a *multi-slot reservation*: the caller owns
+    /// `prev..prev + v`, paid for like any other F&A (one `LOCK XADD`, or
+    /// one CAS loop), so batching amortizes both policies alike.
     fn fetch_add(a: &AtomicU64, v: u64) -> u64;
-
-    /// Atomically adds `k` to `*a` as one *multi-slot reservation*,
-    /// returning the previous value: the caller owns indices
-    /// `prev..prev + k`. Semantically identical to [`fetch_add`]
-    /// (x86 `XADD` takes an arbitrary addend), but kept as a separate
-    /// entry point so the batched queue paths remain visible to the
-    /// ablation: each policy pays its reservation the same way it pays a
-    /// scalar F&A — one `LOCK XADD` for hardware, one CAS loop for the
-    /// emulation — so batching amortizes *both* variants identically and
-    /// the LCRQ vs LCRQ-CAS comparison still isolates the primitive.
-    ///
-    /// [`fetch_add`]: FaaPolicy::fetch_add
-    #[inline]
-    fn fetch_add_k(a: &AtomicU64, k: u64) -> u64 {
-        Self::fetch_add(a, k)
-    }
 
     /// Human-readable policy name for harness output.
     fn name() -> &'static str;
@@ -188,22 +175,22 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_k_reserves_a_contiguous_range() {
+    fn multi_slot_fetch_add_reserves_a_contiguous_range() {
         let a = AtomicU64::new(100);
-        assert_eq!(HardwareFaa::fetch_add_k(&a, 16), 100);
-        assert_eq!(CasLoopFaa::fetch_add_k(&a, 8), 116);
+        assert_eq!(HardwareFaa::fetch_add(&a, 16), 100);
+        assert_eq!(CasLoopFaa::fetch_add(&a, 8), 116);
         assert_eq!(a.load(Ordering::SeqCst), 124);
     }
 
     #[test]
-    fn fetch_add_k_costs_one_primitive_per_reservation() {
+    fn multi_slot_fetch_add_costs_one_primitive_per_reservation() {
         use lcrq_util::metrics::{self, Event};
         let _g = metrics_guard();
         metrics::flush();
         let before = metrics::snapshot();
         let a = AtomicU64::new(0);
-        HardwareFaa::fetch_add_k(&a, 16);
-        CasLoopFaa::fetch_add_k(&a, 16); // uncontended: 1 attempt
+        HardwareFaa::fetch_add(&a, 16);
+        CasLoopFaa::fetch_add(&a, 16); // uncontended: 1 attempt
         metrics::flush();
         let d = metrics::snapshot().delta_since(&before);
         assert_eq!(d.get(Event::Faa), 1, "one XADD regardless of k");
@@ -211,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_k_exact_under_contention() {
+    fn multi_slot_fetch_add_exact_under_contention() {
         let counter = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -219,7 +206,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut ranges = Vec::with_capacity(10_000);
                     for _ in 0..10_000 {
-                        ranges.push(CasLoopFaa::fetch_add_k(&c, 3));
+                        ranges.push(CasLoopFaa::fetch_add(&c, 3));
                     }
                     ranges
                 })

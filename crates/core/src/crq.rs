@@ -82,49 +82,21 @@ pub struct Crq<P: FaaPolicy = HardwareFaa> {
 impl<P: FaaPolicy> Crq<P> {
     /// Creates an empty ring of `1 << config.ring_order` nodes.
     pub fn new(config: &LcrqConfig) -> Self {
-        Self::with_seed(config, None)
+        Self::with_seed_batch(config, &[])
     }
 
-    /// Creates a ring pre-seeded with one item (used when an enqueuer
-    /// appends a fresh CRQ "initialized to contain x", Figure 5c line 162).
-    pub fn with_seed(config: &LcrqConfig, seed: Option<u64>) -> Self {
-        match seed {
-            Some(x) => Self::with_seed_batch(config, &[x]),
-            None => Self::with_seed_batch(config, &[]),
-        }
-    }
-
-    /// Creates a ring pre-seeded with `seed` (at most `R` items): the batch
-    /// generalization of [`with_seed`](Self::with_seed), used when a batch
-    /// enqueue closes the tail ring mid-batch and spills its unplaced
-    /// remainder into the fresh ring it appends.
+    /// Creates a ring pre-seeded with `seed` (at most `R` items): the ring
+    /// an enqueuer appends "initialized to contain x" (Figure 5c line 162),
+    /// or, for a batch whose tail ring closed mid-batch, its remainder.
     pub fn with_seed_batch(config: &LcrqConfig, seed: &[u64]) -> Self {
         let size = config.ring_size();
-        assert!(
-            seed.len() as u64 <= size,
-            "seed batch ({}) exceeds ring size ({size})",
-            seed.len()
-        );
-        let ring: Vec<Node> = (0..size).map(Node::new).collect();
-        for (u, &x) in seed.iter().enumerate() {
-            debug_assert!(x != BOTTOM);
-            // Exclusive ownership: the CAS2 can only fail spuriously (the
-            // `cas2` fail point); retry until the seed is placed.
-            loop {
-                let v = ring[u].read();
-                if ring[u].try_enqueue(&v, u as u64, x) {
-                    break;
-                }
-            }
-        }
-        let tail = seed.len() as u64;
         metrics::inc(Event::RingAlloc);
-        Self {
+        let ring = Self {
             head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(tail)),
+            tail: CachePadded::new(AtomicU64::new(0)),
             next: CachePadded::new(AtomicPtr::new(core::ptr::null_mut())),
             cluster: CachePadded::new(AtomicU64::new(0)),
-            ring: ring.into_boxed_slice(),
+            ring: (0..size).map(Node::new).collect(),
             mask: size - 1,
             starvation_limit: config.starvation_limit,
             bounded_wait_spins: config.bounded_wait_spins,
@@ -132,7 +104,9 @@ impl<P: FaaPolicy> Crq<P> {
             reuse_epoch: AtomicU64::new(0),
             pool: OnceLock::new(),
             _faa: PhantomData,
-        }
+        };
+        ring.reseed(seed);
+        ring
     }
 
     /// Ring size `R`.
@@ -147,186 +121,54 @@ impl<P: FaaPolicy> Crq<P> {
 
     /// Appends `value` (must be `< BOTTOM`), or reports the ring closed.
     ///
-    /// Figure 3d. Fails (closing the ring) when the ring appears full
+    /// Figure 3d: a reservation of one index, retried until the value is
+    /// placed. Fails (closing the ring) when the ring appears full
     /// (`t - head >= R`) or after `starvation_limit` placement failures.
+    #[inline]
     pub fn enqueue(&self, value: u64) -> Result<(), CrqClosed> {
-        debug_assert!(value != BOTTOM, "BOTTOM is reserved");
-        let mut attempts = 0u32;
-        loop {
-            let raw = P::fetch_add(&self.tail, 1); // F&A on all 64 bits
-            if raw & CLOSED_BIT != 0 {
-                return Err(CrqClosed);
-            }
-            let t = raw;
-            let node = self.node(t);
-            metrics::inc(Event::NodeVisit);
-            let view = node.read();
-            // Adversary injection inside the read→CAS2 window (see
-            // lcrq_util::adversary). LCRQ's CAS2 targets a slot only this
-            // F&A winner races for, so even a mid-window preemption rarely
-            // fails it — and a preempted operation blocks nobody.
-            lcrq_util::adversary::preempt_point();
-            // Fail point between the F&A and the CAS2 placement: `Fail`
-            // force-closes the ring (an injected tantrum), `Panic` aborts
-            // the enqueue with the tail index consumed but the slot never
-            // filled — dequeuers must skip it via the empty transition.
-            if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
-                self.close();
-            }
-            if view.is_empty()
-                && view.idx <= t
-                && (view.safe || self.head.load(Ordering::SeqCst) <= t)
-                && node.try_enqueue(&view, t, value)
-            {
-                return Ok(());
-            }
-            attempts += 1;
-            let h = self.head.load(Ordering::SeqCst);
-            if t.wrapping_sub(h) as i64 >= self.ring_size() as i64
-                || attempts >= self.starvation_limit
-            {
-                self.close();
-                return Err(CrqClosed);
-            }
+        match self.place_all(core::slice::from_ref(&value)) {
+            1 => Ok(()),
+            _ => Err(CrqClosed),
         }
     }
 
     /// Removes the oldest value, or returns `None` when (linearizably)
     /// empty. Figure 3b.
+    #[inline]
     pub fn dequeue(&self) -> Option<u64> {
         loop {
             let h = P::fetch_add(&self.head, 1);
-            let node = self.node(h);
-            let mut spins = self.bounded_wait_spins;
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                lcrq_util::adversary::preempt_point(); // inside the read→CAS2 window
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
-                if view.idx > h {
-                    break; // overtaken between our F&A and the read
-                }
-                if !view.is_empty() {
-                    if view.idx == h {
-                        // Our item: dequeue transition.
-                        if node.try_dequeue(&view, self.ring_size()) {
-                            return Some(view.val);
-                        }
-                    } else {
-                        // Previous-lap item we cannot take: mark unsafe so
-                        // enq_h cannot blindly store into this node.
-                        if node.try_mark_unsafe(&view) {
-                            metrics::inc(Event::UnsafeTransition);
-                            break;
-                        }
-                    }
-                } else {
-                    // Empty node with idx <= h. If the matching enqueuer is
-                    // active (tail already past h), wait briefly for its
-                    // enqueue transition instead of wasting both operations
-                    // (§4.1.1 bounded waiting).
-                    if spins > 0 && self.tail_index() > h {
-                        spins -= 1;
-                        metrics::inc(Event::SpinWait);
-                        core::hint::spin_loop();
-                        continue;
-                    }
-                    // Empty transition: block index h (and all older laps).
-                    if node.try_empty(&view, h, self.ring_size()) {
-                        metrics::inc(Event::EmptyTransition);
-                        break;
-                    }
-                }
-                // A CAS2 failed: the node changed; re-read and retry.
+            if let Some(v) = self.take(h) {
+                return Some(v);
             }
             // Failed to dequeue at h; is the queue empty?
-            let t = self.tail_index();
-            if t <= h + 1 {
+            if self.tail_index() <= h + 1 {
                 self.fix_state();
                 return None;
             }
         }
     }
 
-    /// Appends a prefix of `values` after reserving up to `values.len()`
-    /// consecutive tail indices with a **single** `FAA(tail, k)`, then
-    /// filling each reserved slot with the ordinary per-slot CAS2 enqueue
-    /// transition. Returns the number of values placed.
+    /// Appends a prefix of `values`, reserving up to `R` consecutive tail
+    /// indices per `FAA(tail, k)` and running the scalar enqueue
+    /// transition on each reserved index. Returns the number placed; a
+    /// short count means the ring is [closed](Self::is_closed) and the
+    /// caller must spill the remainder elsewhere (the LCRQ appends a fresh
+    /// ring seeded via [`with_seed_batch`](Self::with_seed_batch)).
     ///
     /// Semantics: the batch is **not** an atomic multi-enqueue — it
     /// linearizes as `placed` individual enqueues whose queue positions are
-    /// contiguous within this reservation (concurrent enqueuers' items sit
-    /// entirely before or after the reserved range, never between two items
-    /// of the same reservation; see DESIGN.md "Batched operations").
-    ///
-    /// A return of `placed < values.len()` means one of:
-    ///
-    /// * the ring is [closed](Self::is_closed) (tantrum) — the caller must
-    ///   spill the remainder elsewhere (the LCRQ appends a fresh ring
-    ///   seeded via [`with_seed_batch`](Self::with_seed_batch));
-    /// * the ring is still open but this reservation ran out of usable
-    ///   slots (a slot was skipped after a dequeuer's empty/unsafe
-    ///   transition, or `values.len() > R`) — the caller may simply call
-    ///   again for the rest.
-    ///
-    /// Skipped reserved indices are harmless: a dequeuer reaching one
-    /// performs the same empty transition it would after a scalar
-    /// enqueuer's failed placement attempt.
+    /// contiguous within each reservation (concurrent enqueuers' items sit
+    /// entirely before or after a reserved range; see DESIGN.md "Batched
+    /// operations"). A value whose reserved index is unusable moves on to
+    /// the next reserved index, exactly as a scalar enqueue re-F&As, and
+    /// the starvation count spans the whole call.
     pub fn enqueue_batch(&self, values: &[u64]) -> usize {
         if values.is_empty() {
             return 0;
         }
-        // Cap the reservation at R: indices beyond one lap can never all be
-        // usable, and a bounded reservation keeps `head - tail` overshoot
-        // (and thus fix_state work) small.
-        let k = (values.len() as u64).min(self.ring_size());
-        let raw = P::fetch_add_k(&self.tail, k); // one F&A for k indices
-        if raw & CLOSED_BIT != 0 {
-            return 0;
-        }
         metrics::inc(Event::BatchEnqueue);
-        let first = raw;
-        let mut placed = 0usize;
-        let mut attempts = 0u32;
-        for j in 0..k {
-            debug_assert!(values[placed] != BOTTOM, "BOTTOM is reserved");
-            let t = first + j;
-            let node = self.node(t);
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                lcrq_util::adversary::preempt_point(); // read→CAS2 window
-                if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
-                    self.close(); // injected tantrum, as in the scalar path
-                }
-                if view.is_empty()
-                    && view.idx <= t
-                    && (view.safe || self.head.load(Ordering::SeqCst) <= t)
-                {
-                    if node.try_enqueue(&view, t, values[placed]) {
-                        placed += 1;
-                        break;
-                    }
-                    continue; // CAS2 failed: node changed; re-read
-                }
-                // Slot unusable this lap (dequeuer advanced its index or
-                // left it unsafe): keep the value for the next reserved
-                // index, exactly as a scalar enqueue would re-F&A.
-                attempts += 1;
-                let h = self.head.load(Ordering::SeqCst);
-                if t.wrapping_sub(h) as i64 >= self.ring_size() as i64
-                    || attempts >= self.starvation_limit
-                {
-                    self.close();
-                    metrics::add(Event::BatchEnqueueItems, placed as u64);
-                    return placed;
-                }
-                break;
-            }
-            if placed == values.len() {
-                break;
-            }
-        }
+        let placed = self.place_all(values);
         metrics::add(Event::BatchEnqueueItems, placed as u64);
         placed
     }
@@ -339,69 +181,22 @@ impl<P: FaaPolicy> Crq<P> {
     /// over-long batch does not manufacture empty transitions on indices no
     /// enqueuer has reserved (the bound is racy under concurrency — any
     /// overshoot behaves exactly like the same number of scalar empty
-    /// dequeues). Each reserved index is processed with the ordinary
-    /// per-slot protocol: dequeue transition, bounded wait, unsafe/empty
-    /// transitions, so tantrum semantics are preserved per index.
+    /// dequeues). Each reserved index runs the scalar dequeue step.
     ///
     /// Returns 0 **without reserving anything** when the queue looks empty;
     /// callers needing a linearizable EMPTY verdict (or ring switching)
     /// should fall back to a scalar [`dequeue`](Self::dequeue).
     pub fn dequeue_batch(&self, out: &mut Vec<u64>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
         let h0 = self.head.load(Ordering::SeqCst);
-        let avail = self.tail_index().saturating_sub(h0);
-        let k = (max as u64).min(avail);
+        let k = (max as u64).min(self.tail_index().saturating_sub(h0));
         if k == 0 {
             return 0;
         }
         metrics::inc(Event::BatchDequeue);
-        let first = P::fetch_add_k(&self.head, k); // one F&A for k indices
-        let mut taken = 0usize;
-        for j in 0..k {
-            let h = first + j;
-            let node = self.node(h);
-            let mut spins = self.bounded_wait_spins;
-            loop {
-                metrics::inc(Event::NodeVisit);
-                let view = node.read();
-                lcrq_util::adversary::preempt_point(); // read→CAS2 window
-                let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
-                if view.idx > h {
-                    break; // overtaken between the reservation and the read
-                }
-                if !view.is_empty() {
-                    if view.idx == h {
-                        // Our item: dequeue transition.
-                        if node.try_dequeue(&view, self.ring_size()) {
-                            out.push(view.val);
-                            taken += 1;
-                            break;
-                        }
-                    } else if node.try_mark_unsafe(&view) {
-                        // Previous-lap item we cannot take.
-                        metrics::inc(Event::UnsafeTransition);
-                        break;
-                    }
-                } else {
-                    // Empty node: wait briefly for the matching enqueuer
-                    // (§4.1.1), then block the index with an empty
-                    // transition.
-                    if spins > 0 && self.tail_index() > h {
-                        spins -= 1;
-                        metrics::inc(Event::SpinWait);
-                        core::hint::spin_loop();
-                        continue;
-                    }
-                    if node.try_empty(&view, h, self.ring_size()) {
-                        metrics::inc(Event::EmptyTransition);
-                        break;
-                    }
-                }
-                // A CAS2 failed: the node changed; re-read and retry.
-            }
-        }
+        let first = P::fetch_add(&self.head, k); // one F&A for k indices
+        let before = out.len();
+        out.extend((first..first + k).filter_map(|h| self.take(h)));
+        let taken = out.len() - before;
         if taken == 0 && self.tail_index() <= first + k {
             // Whole reservation came up empty-handed: repair any
             // head-past-tail overshoot before reporting nothing, as the
@@ -410,6 +205,140 @@ impl<P: FaaPolicy> Crq<P> {
         }
         metrics::add(Event::BatchDequeueItems, taken as u64);
         taken
+    }
+
+    /// Places a prefix of `values` in reservations of up to `R` indices,
+    /// one F&A each, until every value is placed or the ring closes.
+    /// Reserved indices a value could not use are harmless: a dequeuer
+    /// reaching one performs its empty transition.
+    #[inline]
+    fn place_all(&self, values: &[u64]) -> usize {
+        let mut placed = 0;
+        let mut attempts = 0;
+        while placed < values.len() {
+            // Capped at R: indices beyond one lap can never all be usable,
+            // and a bounded reservation keeps fix_state work small.
+            let k = ((values.len() - placed) as u64).min(self.ring_size());
+            let raw = P::fetch_add(&self.tail, k); // F&A on all 64 bits
+            if raw & CLOSED_BIT != 0 {
+                break;
+            }
+            for t in raw..raw + k {
+                match self.place(t, values[placed], &mut attempts) {
+                    Ok(true) => placed += 1,
+                    Ok(false) => {}
+                    Err(CrqClosed) => return placed,
+                }
+            }
+        }
+        placed
+    }
+
+    /// The enqueue transition at reserved index `t` (Figure 3d): `Ok(true)`
+    /// once `value` is placed, `Ok(false)` when the index is unusable, and
+    /// `Err` after closing a ring that looks full or starved this enqueue.
+    #[inline]
+    fn place(&self, t: u64, value: u64, attempts: &mut u32) -> Result<bool, CrqClosed> {
+        debug_assert!(value != BOTTOM, "BOTTOM is reserved");
+        let node = self.node(t);
+        metrics::inc(Event::NodeVisit);
+        let view = node.read();
+        // Adversary injection inside the read→CAS2 window (see
+        // lcrq_util::adversary). LCRQ's CAS2 targets a slot only this
+        // F&A winner races for, so even a mid-window preemption rarely
+        // fails it — and a preempted operation blocks nobody.
+        lcrq_util::adversary::preempt_point();
+        // Fail point between the F&A and the CAS2 placement: `Fail`
+        // force-closes the ring (an injected tantrum), `Panic` aborts
+        // the enqueue with the tail index consumed but the slot never
+        // filled — dequeuers must skip it via the empty transition.
+        if lcrq_util::fault::inject(lcrq_util::fault::Site::CrqEnqueue) {
+            self.close();
+        }
+        if view.is_empty()
+            && view.idx <= t
+            && (view.safe || self.head.load(Ordering::SeqCst) <= t)
+            && node.try_enqueue(&view, t, value)
+        {
+            return Ok(true);
+        }
+        *attempts += 1;
+        let h = self.head.load(Ordering::SeqCst);
+        if t.wrapping_sub(h) as i64 >= self.ring_size() as i64 || *attempts >= self.starvation_limit
+        {
+            self.close();
+            return Err(CrqClosed);
+        }
+        Ok(false)
+    }
+
+    /// The dequeue side at reserved index `h` (Figure 3b): the dequeue
+    /// transition if `h` holds our item, otherwise — after bounded waiting
+    /// for a matching enqueuer — the unsafe or empty transition.
+    #[inline]
+    fn take(&self, h: u64) -> Option<u64> {
+        let node = self.node(h);
+        let mut spins = self.bounded_wait_spins;
+        loop {
+            metrics::inc(Event::NodeVisit);
+            let view = node.read();
+            lcrq_util::adversary::preempt_point(); // inside the read→CAS2 window
+            let _ = lcrq_util::fault::inject(lcrq_util::fault::Site::CrqDequeue);
+            if view.idx > h {
+                return None; // overtaken between our F&A and the read
+            }
+            if !view.is_empty() {
+                if view.idx == h {
+                    // Our item: dequeue transition.
+                    if node.try_dequeue(&view, self.ring_size()) {
+                        return Some(view.val);
+                    }
+                } else if node.try_mark_unsafe(&view) {
+                    // Previous-lap item we cannot take: mark unsafe so
+                    // enq_h cannot blindly store into this node.
+                    metrics::inc(Event::UnsafeTransition);
+                    return None;
+                }
+            } else {
+                // Empty node with idx <= h. If the matching enqueuer is
+                // active (tail already past h), wait briefly for its
+                // enqueue transition instead of wasting both operations
+                // (§4.1.1 bounded waiting).
+                if spins > 0 && self.tail_index() > h {
+                    spins -= 1;
+                    metrics::inc(Event::SpinWait);
+                    core::hint::spin_loop();
+                    continue;
+                }
+                // Empty transition: block index h (and all older laps).
+                if node.try_empty(&view, h, self.ring_size()) {
+                    metrics::inc(Event::EmptyTransition);
+                    return None;
+                }
+            }
+            // A CAS2 failed: the node changed; re-read and retry.
+        }
+    }
+
+    /// Places `seed` (at most `R` items) at the head of an exclusively
+    /// owned, empty ring and moves tail past it: seeds a fresh ring, and
+    /// a scrubbed one when the spill path reuses a pooled ring instead of
+    /// allocating.
+    pub(crate) fn reseed(&self, seed: &[u64]) {
+        let base = self.base.load(Ordering::Relaxed);
+        debug_assert_eq!(self.head_index(), base, "seeding requires an empty ring");
+        debug_assert_eq!(self.tail_index(), base, "seeding requires an empty ring");
+        assert!(
+            seed.len() as u64 <= self.ring_size(),
+            "seed batch ({}) exceeds ring size ({})",
+            seed.len(),
+            self.ring_size()
+        );
+        for (t, &x) in (base..).zip(seed) {
+            debug_assert!(x != BOTTOM, "BOTTOM is reserved");
+            self.node(t).reset(t, x);
+        }
+        self.tail.store(base + seed.len() as u64, Ordering::SeqCst);
     }
 
     /// Closes the ring: every future enqueue returns [`CrqClosed`].
@@ -484,7 +413,7 @@ impl<P: FaaPolicy> Crq<P> {
             return false;
         }
         for (u, node) in self.ring.iter().enumerate() {
-            node.reset(base + u as u64);
+            node.reset(base + u as u64, BOTTOM);
         }
         self.cluster.store(0, Ordering::Relaxed);
         self.next.store(core::ptr::null_mut(), Ordering::Relaxed);
@@ -495,34 +424,6 @@ impl<P: FaaPolicy> Crq<P> {
         self.reuse_epoch.fetch_add(1, Ordering::Release);
         metrics::inc(Event::RingScrub);
         true
-    }
-
-    /// Seeds a freshly scrubbed (still exclusively-owned) ring with `seed`:
-    /// the pooled-ring counterpart of [`with_seed_batch`](Self::with_seed_batch),
-    /// used when the spill path reuses a pooled ring instead of allocating.
-    pub(crate) fn reseed(&self, seed: &[u64]) {
-        let base = self.base.load(Ordering::Relaxed);
-        debug_assert_eq!(self.head_index(), base, "reseed requires a scrubbed ring");
-        debug_assert_eq!(self.tail_index(), base, "reseed requires a scrubbed ring");
-        assert!(
-            seed.len() as u64 <= self.ring_size(),
-            "seed batch ({}) exceeds ring size ({})",
-            seed.len(),
-            self.ring_size()
-        );
-        for (j, &x) in seed.iter().enumerate() {
-            debug_assert!(x != BOTTOM, "BOTTOM is reserved");
-            let node = self.node(base + j as u64);
-            // Exclusive ownership: scrubbed nodes accept their seed, so the
-            // CAS2 can only fail spuriously (the `cas2` fail point); retry.
-            loop {
-                let v = node.read();
-                if node.try_enqueue(&v, base + j as u64, x) {
-                    break;
-                }
-            }
-        }
-        self.tail.store(base + seed.len() as u64, Ordering::SeqCst);
     }
 
     /// Records the recycling pool this ring returns to when retired. First
@@ -554,8 +455,9 @@ unsafe impl<P: FaaPolicy> Send for Crq<P> {}
 unsafe impl<P: FaaPolicy> Sync for Crq<P> {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ring_list::TantrumRing;
     use std::sync::atomic::AtomicU64 as StdAtomicU64;
     use std::sync::Barrier;
 
@@ -639,7 +541,7 @@ mod tests {
 
     #[test]
     fn seeded_ring_contains_its_item() {
-        let q: Crq = Crq::with_seed(&small_config(5), Some(42));
+        let q: Crq = Crq::with_seed_batch(&small_config(5), &[42]);
         assert_eq!(q.dequeue(), Some(42));
         assert_eq!(q.dequeue(), None);
     }
@@ -799,6 +701,42 @@ mod tests {
         assert_eq!(q.enqueue(7), Ok(()));
         assert!(!q.is_closed());
         assert_eq!(q.dequeue(), Some(7));
+    }
+
+    /// Poisons the next `n` tail indices of an empty `q`: `n` empty
+    /// dequeues advance those nodes' indices a lap ahead, then tail is
+    /// rewound so the next enqueues receive them. Head stays past them, so
+    /// the ring looks nowhere near full.
+    pub(crate) fn poison_tail<P: FaaPolicy>(q: &Crq<P>, n: u64) {
+        let t0 = q.tail_index();
+        for _ in 0..n {
+            assert_eq!(q.dequeue(), None);
+        }
+        q.tail.store(t0, Ordering::SeqCst);
+    }
+
+    fn two_poisoned_indices() -> Crq {
+        let q: Crq = Crq::new(&small_config(4).with_starvation_limit(2));
+        poison_tail(&q, 2);
+        q
+    }
+
+    #[test]
+    fn batch_enqueue_starves_like_scalar_enqueue() {
+        // Scalar: t = 0 and t = 1 both fail, the second failure starves
+        // the enqueue and closes the ring.
+        let q = two_poisoned_indices();
+        assert_eq!(q.enqueue(7), Err(CrqClosed));
+        assert!(q.is_closed());
+        // A batch of one, driven as the list drives it (one call; a short
+        // count means closed), counts both failures against one enqueue.
+        let q = two_poisoned_indices();
+        assert_eq!(TantrumRing::enqueue_batch(&q, &[7]), 0);
+        assert!(
+            q.is_closed(),
+            "a starving batch enqueue must close the ring"
+        );
+        assert!(q.tail_index() < q.ring_size(), "closed by starvation");
     }
 
     #[test]
@@ -1005,13 +943,14 @@ mod tests {
     fn batch_reservation_is_capped_at_ring_size() {
         let q = crq(3); // R = 8
         let values: Vec<u64> = (0..20).collect();
-        // One reservation covers at most R indices: first call places 8.
+        // One reservation covers at most R indices: the first places 8.
+        // The ring is then full: the second reservation (8 more indices,
+        // not 12) finds an occupied node with head R behind it and throws
+        // the tantrum.
         assert_eq!(q.enqueue_batch(&values), 8);
-        assert!(!q.is_closed());
-        // The ring is now full: the next reservation finds an occupied node
-        // with head R behind it and throws the tantrum.
-        assert_eq!(q.enqueue_batch(&values[8..]), 0);
         assert!(q.is_closed(), "full ring must close, not spin");
+        assert_eq!(q.tail_index(), 16, "each reservation is capped at R");
+        assert_eq!(q.enqueue_batch(&values[8..]), 0);
         // Everything accepted is still there, in order.
         let mut out = Vec::new();
         assert_eq!(q.dequeue_batch(&mut out, 20), 8);

@@ -67,6 +67,7 @@
 
 pub mod config;
 pub mod crq;
+mod cycle;
 pub mod infinite;
 pub mod lcrq;
 pub mod lscq;

@@ -118,7 +118,8 @@ impl Node {
             .is_ok()
     }
 
-    /// Re-initializes the node to `(1, u, ⊥)` for ring reuse.
+    /// Re-initializes the node to `(1, idx, val)`: `val = ⊥` scrubs it for
+    /// ring reuse, any other value seeds it.
     ///
     /// The caller must hold *logical* exclusive access to the ring (no
     /// in-flight protocol operation on it — enforced by hazard-pointer
@@ -126,8 +127,8 @@ impl Node {
     /// still a real atomic pair replacement, so even a CAS2 issued from a
     /// stale pre-scrub [`NodeView`] fails cleanly rather than tearing.
     #[inline]
-    pub fn reset(&self, u: u64) {
-        self.pair.store(pack(true, u), BOTTOM);
+    pub fn reset(&self, idx: u64, val: u64) {
+        self.pair.store(pack(true, idx), val);
     }
 
     /// Attempts the *unsafe transition* `(s, i, val) -> (0, i, val)`
@@ -229,7 +230,7 @@ mod tests {
         let stale = n.read();
         // Scrub onto a fresh epoch whose base exceeds every index the node
         // could previously have carried.
-        n.reset(3 + 2 * R);
+        n.reset(3 + 2 * R, BOTTOM);
         let v = n.read();
         assert!(v.safe);
         assert_eq!(v.idx, 3 + 2 * R);

@@ -107,8 +107,8 @@ pub trait TantrumRing: Sized + Send + Sync + 'static {
     #[inline]
     fn enter(&self, _config: &LcrqConfig) {}
 
-    /// Places a prefix of `values`; returns its length. A short count on
-    /// an open ring asks for a fresh attempt, on a closed one for a spill.
+    /// Places a prefix of `values`; returns its length. A short count
+    /// means the ring is closed and the rest must spill.
     fn enqueue_batch(&self, values: &[u64]) -> usize {
         values
             .iter()
@@ -280,20 +280,12 @@ impl<R: TantrumRing> RingList<R> {
     /// after finding the tail ring tantrum-closed, so no enqueuer can
     /// append a fresh ring to a closed queue.
     pub fn try_enqueue(&self, value: u64) -> Result<(), u64> {
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.try_enqueue_fallible(value) {
-                Ok(()) => return Ok(()),
-                Err(EnqueueError::Closed(v)) => return Err(v),
-                // A refused ring allocation is transient (the pool can
-                // refill, the injected refusal is probabilistic): back off
-                // and retry, keeping "closed is the only failure". Callers
-                // that want to see the refusal use `try_enqueue_fallible`.
-                Err(EnqueueError::AllocFailed(_)) => {
-                    backoff.get_or_insert_with(Backoff::jittered).spin();
-                }
-            }
-        }
+        // A refused ring allocation is transient (the pool can refill, the
+        // injected refusal is probabilistic): back off and retry, keeping
+        // "closed is the only failure". Callers that want to see the
+        // refusal use `try_enqueue_fallible`.
+        self.enqueue_with(core::slice::from_ref(&value), false, Self::place_one)
+            .map_err(|_| value)
     }
 
     /// Like [`try_enqueue`](Self::try_enqueue), but also surfaces a refused
@@ -302,11 +294,42 @@ impl<R: TantrumRing> RingList<R> {
     /// `AllocFailed` — the value was not placed and is handed back, so the
     /// caller may retry, shed load, or propagate the error.
     pub fn try_enqueue_fallible(&self, value: u64) -> Result<(), EnqueueError> {
-        assert!(value != BOTTOM, "BOTTOM (u64::MAX) is reserved");
+        self.enqueue_with(core::slice::from_ref(&value), true, Self::place_one)
+            .map_err(|(_, e)| e)
+    }
+
+    /// A scalar op's placement: [`TantrumRing::enqueue`] of `values[0]`.
+    #[inline]
+    fn place_one(ring: &R, values: &[u64]) -> usize {
+        ring.enqueue(values[0]).is_ok() as usize
+    }
+
+    /// The one enqueue loop (Figure 5c), for scalar and batch ops alike:
+    /// protect the tail ring, help a half-finished append, enter, let
+    /// `place` put a prefix of the rest into the ring, and on a short
+    /// count (the ring closed) check the shutdown fence and spill up to one
+    /// ring's worth into a fresh ring. A lost link race backs off and
+    /// retries; so does a refused allocation unless `surface_alloc`.
+    /// `Err` carries how many leading values were placed, and the refusal
+    /// for the first value that was not.
+    #[inline]
+    fn enqueue_with(
+        &self,
+        values: &[u64],
+        surface_alloc: bool,
+        place: impl Fn(&R, &[u64]) -> usize,
+    ) -> Result<(), (usize, EnqueueError)> {
+        for &v in values {
+            assert!(v != BOTTOM, "BOTTOM (u64::MAX) is reserved");
+        }
+        let mut placed = 0;
         let mut backoff: Option<Backoff> = None;
-        loop {
+        let outcome = loop {
+            if placed == values.len() {
+                break Ok(());
+            }
             if self.closed.load(Ordering::SeqCst) {
-                return Err(EnqueueError::Closed(value));
+                break Err((placed, EnqueueError::Closed(values[placed])));
             }
             let ring = self.domain.protect(HP_SLOT, &self.tail);
             // SAFETY: hazard-protected, so it cannot be reclaimed while we
@@ -319,32 +342,33 @@ impl<R: TantrumRing> RingList<R> {
                 continue;
             }
             ring_ref.enter(&self.config);
-            if ring_ref.enqueue(value).is_ok() {
-                self.domain.clear(HP_SLOT);
-                return Ok(());
+            placed += place(ring_ref, &values[placed..]);
+            if placed == values.len() {
+                break Ok(());
             }
-            // Ring closed. Shutdown close and tantrum close look the same at
-            // ring level — distinguish them here: if the *queue* is closed,
-            // fail instead of appending a fresh ring past the fence.
+            debug_assert!(ring_ref.is_closed(), "a short placement means closed");
+            // Shutdown close and tantrum close look the same at ring level
+            // — distinguish them here: if the *queue* is closed, fail
+            // instead of appending a fresh ring past the fence.
             if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(EnqueueError::Closed(value));
+                break Err((placed, EnqueueError::Closed(values[placed])));
             }
-            match self.spill(ring, core::slice::from_ref(&value)) {
-                Some(true) => {
-                    self.domain.clear(HP_SLOT);
-                    return Ok(());
+            let rest = &values[placed..];
+            let seed = &rest[..rest.len().min(ring_ref.capacity() as usize)];
+            match self.spill(ring, seed) {
+                Some(true) => placed += seed.len(),
+                None if surface_alloc => {
+                    break Err((placed, EnqueueError::AllocFailed(values[placed])))
                 }
-                // Lost the link race: the winner's ring has room, but under
-                // heavy churn repeated losses waste an allocation each round
-                // — bounded jittered backoff de-synchronizes the contenders.
-                Some(false) => backoff.get_or_insert_with(Backoff::jittered).spin(),
-                None => {
-                    self.domain.clear(HP_SLOT);
-                    return Err(EnqueueError::AllocFailed(value));
-                }
+                // Lost the link race (the winner's ring has room, but under
+                // heavy churn repeated losses waste an allocation each
+                // round), or a transient allocation refusal: bounded
+                // jittered backoff de-synchronizes the contenders.
+                _ => backoff.get_or_insert_with(Backoff::jittered).spin(),
             }
-        }
+        };
+        self.domain.clear(HP_SLOT);
+        outcome
     }
 
     /// Closes the queue for further enqueues: every subsequent
@@ -485,57 +509,8 @@ impl<R: TantrumRing> RingList<R> {
     /// receivers like any other items); the remainder `values[placed..]` was
     /// not enqueued and stays owned by the caller.
     pub fn try_enqueue_batch(&self, values: &[u64]) -> Result<(), usize> {
-        for &v in values {
-            assert!(v != BOTTOM, "BOTTOM (u64::MAX) is reserved");
-        }
-        let mut rest = values;
-        let mut placed_total = 0usize;
-        let mut backoff: Option<Backoff> = None;
-        while !rest.is_empty() {
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(placed_total);
-            }
-            let ring = self.domain.protect(HP_SLOT, &self.tail);
-            // SAFETY: hazard-protected.
-            let ring_ref = unsafe { &*ring };
-            let next = ring_ref.next().load(Ordering::SeqCst);
-            if !next.is_null() && next != sealed() {
-                let _ = ops::ptr::cas_ptr(&self.tail, ring, next);
-                continue; // help the half-finished append, then retry
-            }
-            ring_ref.enter(&self.config);
-            let placed = ring_ref.enqueue_batch(rest);
-            placed_total += placed;
-            rest = &rest[placed..];
-            if rest.is_empty() {
-                break;
-            }
-            if !ring_ref.is_closed() {
-                // The reservation ran out of usable slots but the ring is
-                // still open: take a fresh reservation for the remainder.
-                continue;
-            }
-            // Ring closed mid-batch: as in try_enqueue, distinguish queue
-            // shutdown from an ordinary tantrum before linking a new ring.
-            if self.closed.load(Ordering::SeqCst) {
-                self.domain.clear(HP_SLOT);
-                return Err(placed_total);
-            }
-            // Spill up to one ring's worth of the remainder.
-            let seed_len = (rest.len() as u64).min(ring_ref.capacity()) as usize;
-            if self.spill(ring, &rest[..seed_len]) == Some(true) {
-                placed_total += seed_len;
-                rest = &rest[seed_len..];
-            } else {
-                // Lost the link race, or the allocation was refused — both
-                // transient here: back off and retry rather than reporting
-                // a partial batch as a shutdown.
-                backoff.get_or_insert_with(Backoff::jittered).spin();
-            }
-        }
-        self.domain.clear(HP_SLOT);
-        Ok(())
+        self.enqueue_with(values, false, R::enqueue_batch)
+            .map_err(|(placed, _)| placed)
     }
 
     /// Removes up to `max` of the oldest values, appending them to `out` in
@@ -820,6 +795,30 @@ mod tests {
                 "round {round}: an item landed after EMPTY"
             );
             assert_eq!(drained, accepted.into_inner(), "round {round}");
+        }
+    }
+
+    /// The list drives the CRQ batch path the way it drives a scalar
+    /// enqueue: with `starvation_limit = 2` and the tail ring's next two
+    /// indices poisoned, both starve, close the ring and spill the value
+    /// into a second ring.
+    #[test]
+    fn batch_enqueue_starving_closes_the_ring_like_scalar() {
+        type Enqueue = fn(&RingList<Crq>, u64);
+        let scalar: Enqueue = |q, v| q.try_enqueue(v).unwrap();
+        let batch: Enqueue = |q, v| q.try_enqueue_batch(&[v]).unwrap();
+        for enqueue in [scalar, batch] {
+            let config = LcrqConfig::new()
+                .with_ring_order(4)
+                .with_starvation_limit(2);
+            let q = RingList::<Crq>::with_config(config);
+            // SAFETY: the first ring stays linked (nothing dequeues it away).
+            let first = unsafe { &*q.tail.load(Ordering::SeqCst) };
+            crate::crq::tests::poison_tail(first, 2);
+            enqueue(&q, 7);
+            assert!(first.is_closed(), "a starving enqueue closes its ring");
+            assert_eq!(q.ring_count(), 2, "the value spilled to a new ring");
+            assert_eq!(q.dequeue(), Some(7));
         }
     }
 

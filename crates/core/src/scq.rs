@@ -36,7 +36,7 @@
 //! that would run unchanged on non-x86 targets (no `CMPXCHG16B`).
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use lcrq_atomic::{ops, FaaPolicy, HardwareFaa};
 use lcrq_util::metrics::{self, Event};
@@ -44,10 +44,7 @@ use lcrq_util::{adversary, CachePadded};
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
-
-/// Bit 63 of `tail`: the ring is finalized (closed to further enqueues),
-/// same convention as the CRQ's CLOSED bit.
-const FINALIZED_BIT: u64 = 1 << 63;
+use crate::cycle::{CycleRing, CLOSED_BIT};
 
 /// A bounded ring of *indices* in `0..capacity`, the SCQ of Nikolaev
 /// (arXiv:1908.04511 Figure 9), generic over the fetch-and-add policy.
@@ -57,44 +54,23 @@ const FINALIZED_BIT: u64 = 1 << 63;
 /// all-ones index pattern is ⊥. Callers must keep at most `capacity`
 /// indices in circulation (pop before re-push) — [`ScqD`] enforces this
 /// structurally. Most users want [`ScqD`] or the unbounded
-/// [`Lscq`](crate::Lscq).
+/// [`Lscq`](crate::Lscq). Positions, cycles, threshold and the finalized
+/// bit live in the cycle core (`cycle.rs`) shared with wCQ.
 pub struct Scq<P: FaaPolicy = HardwareFaa> {
-    head: CachePadded<AtomicU64>,
-    /// Bit 63 = finalized; bits 62..0 = the tail position.
-    tail: CachePadded<AtomicU64>,
-    /// The livelock-freedom counter: reset to `3n - 1` by enqueues,
-    /// decremented by unsuccessful dequeue attempts; negative means a
-    /// dequeue may report EMPTY without touching `head`.
-    threshold: CachePadded<AtomicI64>,
-    /// `2n` packed `(cycle, safe, index)` words.
-    entries: Box<[AtomicU64]>,
-    /// log2 of the entry count (`k + 1` for capacity `2^k`).
-    array_order: u32,
+    ring: CycleRing<AtomicU64>,
     _marker: PhantomData<P>,
 }
 
 impl<P: FaaPolicy> Scq<P> {
     /// An empty index ring with capacity `2^order` (so `2^(order+1)`
-    /// entries). Positions start at `2n` (cycle 1) so freshly-initialized
-    /// entries (cycle 0) always compare older than any live position.
+    /// entries), every entry ⊥ at cycle 0.
     pub fn new_empty(order: u32) -> Self {
-        let order = order.clamp(1, 30);
-        let array_order = order + 1;
-        let slots = 1usize << array_order;
-        let entries: Box<[AtomicU64]> = (0..slots).map(|_| AtomicU64::new(0)).collect();
         let q = Scq {
-            head: CachePadded::new(AtomicU64::new(slots as u64)),
-            tail: CachePadded::new(AtomicU64::new(slots as u64)),
-            // Empty ring: exhausted from the start, so dequeuers on a
-            // never-used ring exit without an F&A. The first enqueue
-            // re-arms it.
-            threshold: CachePadded::new(AtomicI64::new(-1)),
-            entries,
-            array_order,
+            ring: CycleRing::new(order, || AtomicU64::new(0)),
             _marker: PhantomData,
         };
         let bottom = q.bottom_index();
-        for e in q.entries.iter() {
+        for e in q.ring.entries.iter() {
             e.store(q.pack(0, true, bottom), Ordering::Relaxed);
         }
         q
@@ -104,14 +80,14 @@ impl<P: FaaPolicy> Scq<P> {
     /// state of an [`ScqD`] free-index ring.
     pub fn new_full(order: u32) -> Self {
         let q = Self::new_empty(order);
-        let base = q.entries.len() as u64;
+        let base = q.ring.entries.len() as u64;
         for k in 0..q.capacity() {
             let pos = base + k;
-            let j = q.remap(pos);
-            q.entries[j].store(q.pack(q.cycle_of(pos), true, k), Ordering::Relaxed);
+            let j = q.ring.remap(pos);
+            q.ring.entries[j].store(q.pack(q.ring.cycle_of(pos), true, k), Ordering::Relaxed);
         }
-        q.tail.store(base + q.capacity(), Ordering::Relaxed);
-        q.threshold.store(q.threshold_max(), Ordering::Relaxed);
+        q.ring.tail.store(base + q.capacity(), Ordering::Relaxed);
+        q.ring.reset_threshold();
         q
     }
 
@@ -119,61 +95,31 @@ impl<P: FaaPolicy> Scq<P> {
     /// entry-array size.
     #[inline]
     pub fn capacity(&self) -> u64 {
-        (self.entries.len() as u64) / 2
+        self.ring.capacity()
     }
 
     /// The ⊥ pattern: all ones in the index field (`2n - 1`). Stored
     /// indices must be strictly below this.
     #[inline]
     fn bottom_index(&self) -> u64 {
-        (1u64 << self.array_order) - 1
-    }
-
-    #[inline]
-    fn index_mask(&self) -> u64 {
-        self.bottom_index()
-    }
-
-    #[inline]
-    fn threshold_max(&self) -> i64 {
-        // 3n - 1 (capacity + array size - 1): the paper's bound on
-        // unsuccessful dequeue attempts while the queue is non-empty.
-        (self.capacity() + self.entries.len() as u64 - 1) as i64
-    }
-
-    #[inline]
-    fn cycle_of(&self, pos: u64) -> u64 {
-        pos >> self.array_order
+        (1u64 << self.ring.array_order) - 1
     }
 
     #[inline]
     fn pack(&self, cycle: u64, safe: bool, index: u64) -> u64 {
-        (cycle << (self.array_order + 1)) | ((safe as u64) << self.array_order) | index
+        let order = self.ring.array_order;
+        (cycle << (order + 1)) | ((safe as u64) << order) | index
     }
 
     /// Splits an entry into `(cycle, is_safe, index)`.
     #[inline]
     fn unpack(&self, entry: u64) -> (u64, bool, u64) {
+        let order = self.ring.array_order;
         (
-            entry >> (self.array_order + 1),
-            entry & (1 << self.array_order) != 0,
-            entry & self.index_mask(),
+            entry >> (order + 1),
+            entry & (1 << order) != 0,
+            entry & self.bottom_index(),
         )
-    }
-
-    /// Maps a position to an entry slot, spreading consecutive positions
-    /// across cache lines (8 `u64` entries per 64-byte line) the way
-    /// Nikolaev's `lfring` does, so neighbouring F&A winners do not false-
-    /// share. Degenerates to the identity for rings of ≤ 8 entries.
-    #[inline]
-    fn remap(&self, pos: u64) -> usize {
-        let slots = self.entries.len() as u64;
-        let j = pos & (slots - 1);
-        if slots >= 16 {
-            (((j & (slots / 8 - 1)) * 8) | (j / (slots / 8))) as usize
-        } else {
-            j as usize
-        }
     }
 
     /// Appends index `index` (must be `< capacity`). Fails only once the
@@ -181,39 +127,31 @@ impl<P: FaaPolicy> Scq<P> {
     /// the index-queue contract (at most `capacity` indices circulating).
     pub fn enqueue(&self, index: u64) -> Result<(), CrqClosed> {
         debug_assert!(index < self.capacity(), "SCQ stores ring indices only");
+        let ring = &self.ring;
         loop {
-            let t_raw = P::fetch_add(&self.tail, 1);
-            if t_raw & FINALIZED_BIT != 0 {
+            let t = P::fetch_add(&ring.tail, 1);
+            if t & CLOSED_BIT != 0 {
                 return Err(CrqClosed);
             }
-            let t = t_raw;
-            let tcycle = self.cycle_of(t);
-            let j = self.remap(t);
-            let mut e = self.entries[j].load(Ordering::SeqCst);
+            let tcycle = ring.cycle_of(t);
+            let entry = &ring.entries[ring.remap(t)];
+            let mut e = entry.load(Ordering::SeqCst);
             loop {
                 metrics::inc(Event::NodeVisit);
                 let (ecycle, safe, idx) = self.unpack(e);
-                if ecycle < tcycle
-                    && idx == self.bottom_index()
-                    && (safe || self.head.load(Ordering::SeqCst) <= t)
+                if ecycle < tcycle && idx == self.bottom_index() && (safe || ring.head_index() <= t)
                 {
                     // The read→CAS window a preemption can waste. A `Fail`
                     // here is a spurious CAS miss: re-read and retry, the
                     // same path a lost race takes.
                     adversary::preempt_point();
                     if lcrq_util::fault::inject(lcrq_util::fault::Site::ScqEnqueue) {
-                        e = self.entries[j].load(Ordering::SeqCst);
+                        e = entry.load(Ordering::SeqCst);
                         continue;
                     }
-                    match ops::cas(&self.entries[j], e, self.pack(tcycle, true, index)) {
+                    match ops::cas(entry, e, self.pack(tcycle, true, index)) {
                         Ok(()) => {
-                            // Re-arm the threshold *after* publishing the
-                            // entry, so a negative threshold implies the
-                            // queue was observably empty.
-                            let max = self.threshold_max();
-                            if self.threshold.load(Ordering::SeqCst) != max {
-                                self.threshold.store(max, Ordering::SeqCst);
-                            }
+                            ring.arm_threshold();
                             return Ok(());
                         }
                         Err(cur) => {
@@ -229,17 +167,15 @@ impl<P: FaaPolicy> Scq<P> {
 
     /// Removes the oldest index, or `None` when the ring is empty.
     pub fn dequeue(&self) -> Option<u64> {
-        if self.threshold.load(Ordering::SeqCst) < 0 {
-            // Livelock-freedom fast exit: an exhausted threshold proves the
-            // ring was empty; report EMPTY without an F&A on head.
-            metrics::inc(Event::ThresholdExhausted);
+        let ring = &self.ring;
+        if ring.exhausted() {
             return None;
         }
         loop {
-            let h = P::fetch_add(&self.head, 1);
-            let hcycle = self.cycle_of(h);
-            let j = self.remap(h);
-            let mut e = self.entries[j].load(Ordering::SeqCst);
+            let h = P::fetch_add(&ring.head, 1);
+            let hcycle = ring.cycle_of(h);
+            let entry = &ring.entries[ring.remap(h)];
+            let mut e = entry.load(Ordering::SeqCst);
             loop {
                 metrics::inc(Event::NodeVisit);
                 let (ecycle, safe, idx) = self.unpack(e);
@@ -252,11 +188,10 @@ impl<P: FaaPolicy> Scq<P> {
                     // `Fail` = spurious consume failure: re-read the slot
                     // and re-run the transition logic before the fetch-OR.
                     if lcrq_util::fault::inject(lcrq_util::fault::Site::ScqDequeue) {
-                        e = self.entries[j].load(Ordering::SeqCst);
+                        e = entry.load(Ordering::SeqCst);
                         continue;
                     }
-                    let prev = ops::or_bits(&self.entries[j], self.index_mask());
-                    let (_, _, v) = self.unpack(prev);
+                    let (_, _, v) = self.unpack(ops::or_bits(entry, self.bottom_index()));
                     debug_assert!(v != self.bottom_index());
                     return Some(v);
                 }
@@ -273,7 +208,7 @@ impl<P: FaaPolicy> Scq<P> {
                     };
                     if new != e {
                         adversary::preempt_point();
-                        if let Err(cur) = ops::cas(&self.entries[j], e, new) {
+                        if let Err(cur) = ops::cas(entry, e, new) {
                             e = cur;
                             continue;
                         }
@@ -286,15 +221,7 @@ impl<P: FaaPolicy> Scq<P> {
                 }
                 // Failed attempt (transitioned, or lapped by a later
                 // cycle): decide whether the queue looked empty.
-                let t = self.tail_index();
-                if t <= h + 1 {
-                    self.catchup(t, h + 1);
-                    metrics::inc(Event::Faa);
-                    self.threshold.fetch_sub(1, Ordering::SeqCst);
-                    return None;
-                }
-                metrics::inc(Event::Faa);
-                if self.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                if ring.spend(h) {
                     return None;
                 }
                 break; // next head position
@@ -302,63 +229,41 @@ impl<P: FaaPolicy> Scq<P> {
         }
     }
 
-    /// CASes a lagging `tail` forward to `h` so enqueuers do not spend
-    /// F&As on positions the dequeuers already invalidated.
-    fn catchup(&self, mut t: u64, h: u64) {
-        while ops::cas(&self.tail, t, h).is_err() {
-            let head_now = self.head.load(Ordering::SeqCst);
-            let t_raw = self.tail.load(Ordering::SeqCst);
-            if t_raw & FINALIZED_BIT != 0 {
-                break; // never clobber the finalized bit
-            }
-            t = t_raw;
-            if t >= head_now {
-                break;
-            }
-        }
-    }
-
     /// Re-arms the threshold to its maximum, forcing the next dequeue to
-    /// actually scan the ring even if the counter was exhausted. The LSCQ
-    /// dequeue does this before abandoning a ring: a racing enqueue may
-    /// have published an entry but not yet reset the threshold, and the
-    /// abandonment double-check must be able to find it.
+    /// actually scan the ring even if the counter was exhausted (see
+    /// [`TantrumRing::before_abandon`](crate::TantrumRing::before_abandon)).
     pub fn reset_threshold(&self) {
-        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
+        self.ring.reset_threshold();
     }
 
     /// Closes the ring to further enqueues (tantrum-style, `LOCK BTS` on
     /// tail bit 63). Returns `true` if this call closed it.
     pub fn finalize(&self) -> bool {
-        let newly = !ops::tas_bit(&self.tail, 63);
-        if newly {
-            metrics::inc(Event::CrqClosed);
-        }
-        newly
+        self.ring.close()
     }
 
     /// Whether [`finalize`](Self::finalize) has been called.
     pub fn is_finalized(&self) -> bool {
-        self.tail.load(Ordering::SeqCst) & FINALIZED_BIT != 0
+        self.ring.is_closed()
     }
 
     /// The head position (next to dequeue). Diagnostic.
     #[inline]
     pub fn head_index(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
+        self.ring.head_index()
     }
 
     /// The tail position (next to enqueue), with the finalized bit masked
     /// off. Diagnostic.
     #[inline]
     pub fn tail_index(&self) -> u64 {
-        self.tail.load(Ordering::SeqCst) & !FINALIZED_BIT
+        self.ring.tail_index()
     }
 
     /// The current threshold value. Diagnostic (tests assert the
     /// livelock-freedom bound through this).
     pub fn threshold(&self) -> i64 {
-        self.threshold.load(Ordering::SeqCst)
+        self.ring.threshold.load(Ordering::SeqCst)
     }
 }
 
@@ -516,15 +421,15 @@ mod tests {
     #[test]
     fn remap_is_a_permutation_and_spreads_neighbours() {
         let q: Scq = Scq::new_empty(6); // 128 entries
-        let slots = q.entries.len();
+        let slots = q.ring.entries.len();
         let mut seen = vec![false; slots];
         for p in 0..slots as u64 {
-            let j = q.remap(p);
+            let j = q.ring.remap(p);
             assert!(!seen[j], "remap must be a bijection");
             seen[j] = true;
         }
         // Consecutive positions land 8 entries (one cache line) apart.
-        assert_eq!(q.remap(1).abs_diff(q.remap(0)), 8);
+        assert_eq!(q.ring.remap(1).abs_diff(q.ring.remap(0)), 8);
     }
 
     #[test]
@@ -586,14 +491,14 @@ mod tests {
     fn threshold_exhausts_and_rearms() {
         let q: Scq = Scq::new_empty(2);
         q.enqueue(1).unwrap();
-        assert_eq!(q.threshold(), q.threshold_max());
+        assert_eq!(q.threshold(), q.ring.threshold_max());
         assert_eq!(q.dequeue(), Some(1));
         // Drive the counter negative with empty dequeues.
         let mut spins = 0;
         while q.threshold() >= 0 {
             assert_eq!(q.dequeue(), None);
             spins += 1;
-            assert!(spins <= 4 * q.entries.len(), "threshold must decay");
+            assert!(spins <= 4 * q.ring.entries.len(), "threshold must decay");
         }
         // Exhausted: head stops moving.
         let head = q.head_index();

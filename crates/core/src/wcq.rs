@@ -33,13 +33,13 @@
 //! the CRQ), so entries here are double-width `(meta, value)` pairs — the
 //! same helping structure with a much shorter placement protocol. The
 //! threshold counter, cycle tags, catchup, and the cache-line remap are
-//! taken from [`crate::scq`] unchanged.
+//! the cycle core (`cycle.rs`) shared with [`crate::scq`].
 //!
 //! [`Wcq`] is the unbounded queue: an MS-style list of [`WcqRing`]s with
 //! tantrum spills, exactly like [`Lscq`](crate::Lscq).
 
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use lcrq_atomic::{ops, AtomicPair, FaaPolicy, HardwareFaa};
 use lcrq_util::fault::{self, Site};
@@ -48,11 +48,9 @@ use lcrq_util::{adversary, CachePadded};
 
 use crate::config::LcrqConfig;
 use crate::crq::CrqClosed;
+use crate::cycle::{CycleRing, CLOSED_BIT};
 use crate::ring_list::{self, RingList, TantrumRing};
 use crate::BOTTOM;
-
-/// Bit 63 of `tail`: the ring is closed to further enqueues.
-const FINALIZED_BIT: u64 = 1 << 63;
 
 /// Request records per ring. Bounds the number of threads that can be in
 /// the slow path of one ring simultaneously; overflow threads help peers
@@ -197,6 +195,22 @@ impl Record {
             result: AtomicPair::new(0, 0),
         }
     }
+
+    /// Moves the claim read as `(hi, pos)` on to `to`, bumping its
+    /// attempt. Losing the race is benign: the caller re-reads.
+    fn advance(&self, (hi, pos): (u64, u64), to: u64) {
+        let _ = self.claim.compare_exchange((hi, pos), (claim_bump(hi), to));
+    }
+
+    /// Moves the state from `(seq, from)` to `(seq, to)`; counted as a
+    /// finalization when this call made the move.
+    fn finish(&self, seq: u64, from: u64, to: u64) -> bool {
+        let moved = ops::cas(&self.state, pack_state(seq, from), pack_state(seq, to)).is_ok();
+        if moved {
+            metrics::inc(Event::HelpFinalized);
+        }
+        moved
+    }
 }
 
 /// CAS-loop "store" for an [`AtomicPair`] (x86 has no 128-bit atomic
@@ -217,16 +231,9 @@ fn pair_reset(p: &AtomicPair, new: (u64, u64)) {
 /// and for symmetry with [`Scq`](crate::Scq). Tantrum semantics like
 /// [`Crq`](crate::Crq): a starving enqueue closes the ring.
 pub struct WcqRing<P: FaaPolicy = HardwareFaa> {
-    head: CachePadded<AtomicU64>,
-    /// Bit 63 = finalized; bits 62..0 = the tail position.
-    tail: CachePadded<AtomicU64>,
-    /// SCQ livelock-freedom counter; negative ⇒ a dequeue may report
-    /// EMPTY without touching `head`.
-    threshold: CachePadded<AtomicI64>,
-    /// `2n` double-width `(meta, value)` entries.
-    entries: Box<[AtomicPair]>,
-    /// log2 of the entry count.
-    array_order: u32,
+    /// Positions, cycles, threshold and `2n` double-width `(meta, value)`
+    /// entries: the cycle core shared with [`Scq`](crate::Scq).
+    ring: CycleRing<AtomicPair>,
     /// The helping records.
     records: Box<[CachePadded<Record>]>,
     /// FAA'd at announce: the help-first order.
@@ -247,18 +254,11 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// (`2 × ring_size` entries, matching the SCQ's 2n sizing).
     pub fn new(config: &LcrqConfig) -> Self {
         metrics::inc(Event::RingAlloc);
-        let order = config.ring_size().trailing_zeros().clamp(1, 30);
-        let array_order = order + 1;
-        let slots = 1usize << array_order;
-        let entries: Box<[AtomicPair]> = (0..slots)
-            .map(|_| AtomicPair::new(mpack(0, true, 0, REC_NONE), BOTTOM))
-            .collect();
+        let order = config.ring_size().trailing_zeros();
         WcqRing {
-            head: CachePadded::new(AtomicU64::new(slots as u64)),
-            tail: CachePadded::new(AtomicU64::new(slots as u64)),
-            threshold: CachePadded::new(AtomicI64::new(-1)),
-            entries,
-            array_order,
+            ring: CycleRing::new(order, || {
+                AtomicPair::new(mpack(0, true, 0, REC_NONE), BOTTOM)
+            }),
             records: (0..REC_SLOTS)
                 .map(|_| CachePadded::new(Record::new()))
                 .collect(),
@@ -285,90 +285,40 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// Number of values the ring can hold.
     #[inline]
     pub fn capacity(&self) -> u64 {
-        (self.entries.len() as u64) / 2
-    }
-
-    #[inline]
-    fn threshold_max(&self) -> i64 {
-        (self.capacity() + self.entries.len() as u64 - 1) as i64
-    }
-
-    #[inline]
-    fn cycle_of(&self, pos: u64) -> u64 {
-        pos >> self.array_order
-    }
-
-    /// Position → entry slot with `lfring` cache-line spreading (the
-    /// bijection from [`Scq`](crate::Scq)).
-    #[inline]
-    fn remap(&self, pos: u64) -> usize {
-        let slots = self.entries.len() as u64;
-        let j = pos & (slots - 1);
-        if slots >= 16 {
-            (((j & (slots / 8 - 1)) * 8) | (j / (slots / 8))) as usize
-        } else {
-            j as usize
-        }
-    }
-
-    /// Inverse of [`remap`](Self::remap): reconstructs the position of the
-    /// entry in slot `j` at `cycle` (helpers resolving a tent/bound entry
-    /// need the position to compare against the record's claim).
-    #[inline]
-    fn pos_of(&self, j: usize, cycle: u64) -> u64 {
-        let slots = self.entries.len() as u64;
-        let j = j as u64;
-        let x = if slots >= 16 {
-            (j & 7) * (slots / 8) + (j >> 3)
-        } else {
-            j
-        };
-        (cycle << self.array_order) | x
-    }
-
-    #[inline]
-    fn arm_threshold(&self) {
-        let max = self.threshold_max();
-        if self.threshold.load(Ordering::SeqCst) != max {
-            self.threshold.store(max, Ordering::SeqCst);
-        }
+        self.ring.capacity()
     }
 
     /// Re-arms the threshold; see [`Scq::reset_threshold`](crate::Scq::reset_threshold).
     pub fn reset_threshold(&self) {
-        self.threshold.store(self.threshold_max(), Ordering::SeqCst);
+        self.ring.reset_threshold();
     }
 
     /// Closes the ring to further enqueues (idempotent). Returns `true`
     /// if this call closed it.
     pub fn close(&self) -> bool {
-        let newly = !ops::tas_bit(&self.tail, 63);
-        if newly {
-            metrics::inc(Event::CrqClosed);
-        }
-        newly
+        self.ring.close()
     }
 
     /// Whether the ring has been closed.
     pub fn is_closed(&self) -> bool {
-        self.tail.load(Ordering::SeqCst) & FINALIZED_BIT != 0
+        self.ring.is_closed()
     }
 
     /// Head position (diagnostic).
     #[inline]
     pub fn head_index(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
+        self.ring.head_index()
     }
 
     /// Tail position with the finalized bit masked off (diagnostic).
     #[inline]
     pub fn tail_index(&self) -> u64 {
-        self.tail.load(Ordering::SeqCst) & !FINALIZED_BIT
+        self.ring.tail_index()
     }
 
     /// Current threshold value (diagnostic).
     pub fn threshold(&self) -> i64 {
-        self.threshold.load(Ordering::SeqCst)
+        self.ring.threshold.load(Ordering::SeqCst)
     }
 
     /// Announced-but-unreleased request count (diagnostic).
@@ -376,18 +326,44 @@ impl<P: FaaPolicy> WcqRing<P> {
         self.pending.load(Ordering::SeqCst)
     }
 
-    fn catchup(&self, mut t: u64, h: u64) {
-        while ops::cas(&self.tail, t, h).is_err() {
-            let head_now = self.head.load(Ordering::SeqCst);
-            let t_raw = self.tail.load(Ordering::SeqCst);
-            if t_raw & FINALIZED_BIT != 0 {
-                break;
-            }
-            t = t_raw;
-            if t >= head_now {
-                break;
-            }
+    /// A (possibly torn — CAS2 rejects a torn view) read of slot `j`'s
+    /// `(meta, value)`.
+    #[inline]
+    fn read(&self, j: usize) -> (u64, u64) {
+        let e = &self.ring.entries[j];
+        (e.load_first(), e.load_second())
+    }
+
+    /// Position `p`'s cycle and slot, and a [`read`](Self::read) of it.
+    #[inline]
+    fn slot(&self, p: u64) -> (u64, usize, u64, u64) {
+        let j = self.ring.remap(p);
+        let (meta, val) = self.read(j);
+        (self.ring.cycle_of(p), j, meta, val)
+    }
+
+    /// The SCQ transitions at a slot whose cycle is older than `c`, CAS2
+    /// edition: an empty slot advances to `c` (empty transition), an
+    /// overtaken value is marked unsafe. Returns whether the CAS2 landed.
+    fn transition(&self, j: usize, meta: u64, val: u64, c: u64) -> bool {
+        let was_empty = val == BOTTOM;
+        let new = if was_empty {
+            mpack(c, msafe(meta), 0, REC_NONE)
+        } else {
+            mpack(mcycle(meta), false, 0, mrec(meta))
+        };
+        adversary::preempt_point();
+        let landed = self.ring.entries[j]
+            .compare_exchange((meta, val), (new, val))
+            .is_ok();
+        if landed {
+            metrics::inc(if was_empty {
+                Event::EmptyTransition
+            } else {
+                Event::UnsafeTransition
+            });
         }
+        landed
     }
 
     // --- help-first scan ------------------------------------------------
@@ -453,15 +429,7 @@ impl<P: FaaPolicy> WcqRing<P> {
             return false;
         }
         if cpos == POS_CLOSED {
-            if ops::cas(
-                &r.state,
-                pack_state(seq, PH_ENQ),
-                pack_state(seq, PH_CLOSED),
-            )
-            .is_ok()
-            {
-                metrics::inc(Event::HelpFinalized);
-            }
+            r.finish(seq, PH_ENQ, PH_CLOSED);
             return true;
         }
         if claim_is_placed(cpos) {
@@ -473,39 +441,30 @@ impl<P: FaaPolicy> WcqRing<P> {
             self.promote_at(p, i);
             // Best-effort: advance the tail past the placement so the next
             // load-based candidate doesn't start on a now-occupied slot.
-            let _ = ops::cas(&self.tail, p, p + 1);
-            self.arm_threshold();
-            if ops::cas(&r.state, pack_state(seq, PH_ENQ), pack_state(seq, PH_DONE)).is_ok() {
-                metrics::inc(Event::HelpFinalized);
-            }
+            let _ = ops::cas(&self.ring.tail, p, p + 1);
+            self.ring.arm_threshold();
+            r.finish(seq, PH_ENQ, PH_DONE);
             return true;
         }
         if cpos == POS_NONE {
             // First candidate comes from the tail (a load, not an FAA —
             // losing the claim race must not burn a ring position).
-            let t_raw = self.tail.load(Ordering::SeqCst);
-            let new = if t_raw & FINALIZED_BIT != 0 {
+            let t_raw = self.ring.tail.load(Ordering::SeqCst);
+            let new = if t_raw & CLOSED_BIT != 0 {
                 POS_CLOSED
             } else {
                 t_raw
             };
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), new));
+            r.advance((chi, cpos), new);
             return false;
         }
         // Live candidate position.
         let p = cpos;
-        let c = self.cycle_of(p);
-        let j = self.remap(p);
-        let meta = self.entries[j].load_first();
-        let val = self.entries[j].load_second();
+        let (c, j, meta, val) = self.slot(p);
         if mcycle(meta) == c && val != BOTTOM && mrec(meta) == i as u64 && meta & BOUND_BIT == 0 {
             // Our entry is in the slot (tentative or already promoted):
             // race the claim to PLACED; the next round finalizes.
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), p | PLACED_BIT));
+            r.advance((chi, cpos), p | PLACED_BIT);
             return false;
         }
         if meta & (TENT_BIT | BOUND_BIT) != 0 {
@@ -515,13 +474,13 @@ impl<P: FaaPolicy> WcqRing<P> {
         }
         if val == BOTTOM
             && mcycle(meta) < c
-            && (msafe(meta) || self.head.load(Ordering::SeqCst) <= p)
+            && (msafe(meta) || self.ring.head.load(Ordering::SeqCst) <= p)
         {
             // Placeable: phase 1, the tentative entry. Invisible to
             // consumers until the claim validates it.
             adversary::preempt_point();
             let v = r.arg.load(Ordering::SeqCst);
-            let _ = self.entries[j]
+            let _ = self.ring.entries[j]
                 .compare_exchange((meta, val), (mpack(c, true, TENT_BIT, i as u64), v));
             return false;
         }
@@ -529,30 +488,20 @@ impl<P: FaaPolicy> WcqRing<P> {
         // fresh candidate. Stale helpers of the abandoned attempt can only
         // leave a tentative entry behind, which resolution retracts —
         // that's why no "dead forever" proof is needed here.
-        if p >= self.head.load(Ordering::SeqCst) + self.entries.len() as u64 {
-            // A full lap ahead of the consumers: the ring is full. Tantrum
-            // (CRQ-style) so the list layer spills to a fresh ring.
+        if p >= self.ring.head_index() + self.ring.entries.len() as u64
+            || chi & ATT_MASK >= self.starvation_limit
+        {
+            // Tantrum (CRQ-style): a full lap ahead of the consumers means
+            // the ring is full, and a starved claim means it is too
+            // contended to place. Close it so the list layer spills to a
+            // fresh ring.
             self.close();
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), POS_CLOSED));
+            r.advance((chi, cpos), POS_CLOSED);
             return false;
         }
-        let att = chi & ATT_MASK;
-        if att >= self.starvation_limit {
-            // Tantrum: the ring is too contended/full to place; close it
-            // so the list layer spills to a fresh ring.
-            self.close();
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), POS_CLOSED));
-            return false;
-        }
-        let t_raw = self.tail.load(Ordering::SeqCst);
-        if t_raw & FINALIZED_BIT != 0 {
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), POS_CLOSED));
+        let t_raw = self.ring.tail.load(Ordering::SeqCst);
+        if t_raw & CLOSED_BIT != 0 {
+            r.advance((chi, cpos), POS_CLOSED);
             return false;
         }
         let mut cand = t_raw;
@@ -560,12 +509,10 @@ impl<P: FaaPolicy> WcqRing<P> {
             // The tail never passed our dead position (no fast-path FAA
             // traffic): nudge it so candidates make progress. The skipped
             // position becomes a hole the dequeue transitions absorb.
-            let _ = ops::cas(&self.tail, cand, p + 1);
+            let _ = ops::cas(&self.ring.tail, cand, p + 1);
             cand = p + 1;
         }
-        let _ = r
-            .claim
-            .compare_exchange((chi, cpos), (claim_bump(chi), cand));
+        r.advance((chi, cpos), cand);
         false
     }
 
@@ -586,8 +533,7 @@ impl<P: FaaPolicy> WcqRing<P> {
             let _ = r
                 .result
                 .compare_exchange((seq << 1, 0), ((seq << 1) | 1, BOTTOM));
-            if ops::cas(&r.state, pack_state(seq, PH_DEQ), pack_state(seq, PH_DONE)).is_ok() {
-                metrics::inc(Event::HelpFinalized);
+            if r.finish(seq, PH_DEQ, PH_DONE) {
                 metrics::inc(Event::ThresholdExhausted);
             }
             return true;
@@ -598,27 +544,20 @@ impl<P: FaaPolicy> WcqRing<P> {
             return true;
         }
         if cpos == POS_NONE {
-            if self.threshold.load(Ordering::SeqCst) < 0 {
-                let _ = r
-                    .claim
-                    .compare_exchange((chi, cpos), (claim_bump(chi), POS_EMPTY));
+            if self.ring.threshold.load(Ordering::SeqCst) < 0 {
+                r.advance((chi, cpos), POS_EMPTY);
                 return false;
             }
-            let h = self.head.load(Ordering::SeqCst);
-            let _ = r.claim.compare_exchange((chi, cpos), (claim_bump(chi), h));
+            let h = self.ring.head.load(Ordering::SeqCst);
+            r.advance((chi, cpos), h);
             return false;
         }
         // Live candidate position.
         let h = cpos;
-        let c = self.cycle_of(h);
-        let j = self.remap(h);
-        let meta = self.entries[j].load_first();
-        let val = self.entries[j].load_second();
+        let (c, j, meta, val) = self.slot(h);
         if mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64 {
             // Our bind is in: race the claim to PLACED.
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), h | PLACED_BIT));
+            r.advance((chi, cpos), h | PLACED_BIT);
             return false;
         }
         if mcycle(meta) == c && val != BOTTOM && meta & (TENT_BIT | BOUND_BIT) == 0 {
@@ -629,7 +568,7 @@ impl<P: FaaPolicy> WcqRing<P> {
                 self.finalize_src(mrec(meta) as usize, h);
             }
             adversary::preempt_point();
-            let _ = self.entries[j].compare_exchange(
+            let _ = self.ring.entries[j].compare_exchange(
                 (meta, val),
                 (mpack(c, msafe(meta), BOUND_BIT, i as u64), val),
             );
@@ -640,24 +579,7 @@ impl<P: FaaPolicy> WcqRing<P> {
             return false;
         }
         if mcycle(meta) < c {
-            // SCQ transitions, CAS2 edition.
-            let new = if val == BOTTOM {
-                mpack(c, msafe(meta), 0, REC_NONE)
-            } else {
-                mpack(mcycle(meta), false, 0, mrec(meta))
-            };
-            let was_empty = val == BOTTOM;
-            adversary::preempt_point();
-            if self.entries[j]
-                .compare_exchange((meta, val), (new, val))
-                .is_ok()
-            {
-                metrics::inc(if was_empty {
-                    Event::EmptyTransition
-                } else {
-                    Event::UnsafeTransition
-                });
-            }
+            self.transition(j, meta, val, c);
             return false;
         }
         // Dead position (cycle advanced / transitioned). Threshold
@@ -668,30 +590,26 @@ impl<P: FaaPolicy> WcqRing<P> {
         // does its own accounting).
         let t = self.tail_index();
         if t <= h + 1 {
-            self.catchup(t, h + 1);
+            self.ring.catchup(t, h + 1);
         }
-        let head_now = self.head.load(Ordering::SeqCst);
+        let head_now = self.ring.head.load(Ordering::SeqCst);
         let mut cand = head_now;
         let mut advanced_by_us = false;
         if cand <= h {
-            advanced_by_us = ops::cas(&self.head, h, h + 1).is_ok();
+            advanced_by_us = ops::cas(&self.ring.head, h, h + 1).is_ok();
             cand = h + 1;
         }
         let empty = if advanced_by_us {
             metrics::inc(Event::Faa);
-            self.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 || t <= h + 1
+            self.ring.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 || t <= h + 1
         } else {
-            self.threshold.load(Ordering::SeqCst) < 0 || t <= h + 1
+            self.ring.threshold.load(Ordering::SeqCst) < 0 || t <= h + 1
         };
         if empty {
-            let _ = r
-                .claim
-                .compare_exchange((chi, cpos), (claim_bump(chi), POS_EMPTY));
+            r.advance((chi, cpos), POS_EMPTY);
             return false;
         }
-        let _ = r
-            .claim
-            .compare_exchange((chi, cpos), (claim_bump(chi), cand));
+        r.advance((chi, cpos), cand);
         false
     }
 
@@ -699,28 +617,22 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// (idempotent: result CAS2, state CAS, then the scrub that frees the
     /// slot; each is seq-tagged so any subset of helpers can run it).
     fn finish_bound_dequeue(&self, i: usize, seq: u64, p: u64) {
-        let c = self.cycle_of(p);
-        let j = self.remap(p);
-        let meta = self.entries[j].load_first();
-        let val = self.entries[j].load_second();
-        if mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64 {
-            let r = &self.records[i];
+        let (c, j, meta, val) = self.slot(p);
+        let r = &self.records[i];
+        // Unless the slot was already scrubbed (the result was delivered
+        // first), publish the result before finishing the state.
+        let bound = mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64;
+        if bound {
             let _ = r
                 .result
                 .compare_exchange((seq << 1, 0), ((seq << 1) | 1, val));
-            if ops::cas(&r.state, pack_state(seq, PH_DEQ), pack_state(seq, PH_DONE)).is_ok() {
-                metrics::inc(Event::HelpFinalized);
-            }
+        }
+        r.finish(seq, PH_DEQ, PH_DONE);
+        if bound {
             // Scrub only after the result is published: the entry was the
             // value's only home until now.
-            let _ = self.entries[j]
+            let _ = self.ring.entries[j]
                 .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM));
-        } else {
-            // Slot already scrubbed: the result was delivered first.
-            let r = &self.records[i];
-            if ops::cas(&r.state, pack_state(seq, PH_DEQ), pack_state(seq, PH_DONE)).is_ok() {
-                metrics::inc(Event::HelpFinalized);
-            }
         }
     }
 
@@ -747,13 +659,10 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// Phase 2 of a slow-path enqueue placement: tent → firm at position
     /// `p`, permitted because the claim is already `PLACED` there.
     fn promote_at(&self, p: u64, i: usize) {
-        let c = self.cycle_of(p);
-        let j = self.remap(p);
-        let meta = self.entries[j].load_first();
-        let val = self.entries[j].load_second();
+        let (c, j, meta, val) = self.slot(p);
         if mcycle(meta) == c && meta & TENT_BIT != 0 && mrec(meta) == i as u64 {
-            let _ =
-                self.entries[j].compare_exchange((meta, val), (mpack(c, true, 0, i as u64), val));
+            let _ = self.ring.entries[j]
+                .compare_exchange((meta, val), (mpack(c, true, 0, i as u64), val));
         }
     }
 
@@ -768,7 +677,7 @@ impl<P: FaaPolicy> WcqRing<P> {
             return;
         }
         let c = mcycle(meta);
-        let p = self.pos_of(j, c);
+        let p = self.ring.pos_of(j, c);
         let r = &self.records[rec as usize];
         let chi = r.claim.load_first();
         let cpos = r.claim.load_second();
@@ -777,19 +686,17 @@ impl<P: FaaPolicy> WcqRing<P> {
             if cpos == p {
                 // Claim still aims here: help it to PLACED (the claim CAS
                 // decides; loser re-reads).
-                let _ = r
-                    .claim
-                    .compare_exchange((chi, p), (claim_bump(chi), p | PLACED_BIT));
+                r.advance((chi, p), p | PLACED_BIT);
             } else if cpos == p | PLACED_BIT {
                 // Validated: promote to a firm value.
-                let _ =
-                    self.entries[j].compare_exchange((meta, val), (mpack(c, true, 0, rec), val));
+                let _ = self.ring.entries[j]
+                    .compare_exchange((meta, val), (mpack(c, true, 0, rec), val));
             } else {
                 // The claim moved on (or the record was reused): this
                 // tentative entry is an orphan. Retract it, leaving the
                 // slot empty *at this cycle* so no stale placement can
                 // ever land here again.
-                let _ = self.entries[j]
+                let _ = self.ring.entries[j]
                     .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM));
             }
             return;
@@ -802,13 +709,11 @@ impl<P: FaaPolicy> WcqRing<P> {
                 // for phase DEQ (deliver) and DONE (scrub) alike.
                 self.finish_bound_dequeue(rec as usize, state_seq(st), p);
             } else if cpos == p && seq_matches && state_phase(st) == PH_DEQ {
-                let _ = r
-                    .claim
-                    .compare_exchange((chi, p), (claim_bump(chi), p | PLACED_BIT));
+                r.advance((chi, p), p | PLACED_BIT);
             } else {
                 // Stale bind (claim moved before validation): restore the
                 // firm entry — the value was never delivered.
-                let _ = self.entries[j]
+                let _ = self.ring.entries[j]
                     .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), val));
             }
         }
@@ -876,17 +781,17 @@ impl<P: FaaPolicy> WcqRing<P> {
         debug_assert!(value < BOTTOM);
         self.help_scan();
         for _ in 0..FAST_ATTEMPTS {
-            let t = P::fetch_add(&self.tail, 1);
-            if t & FINALIZED_BIT != 0 {
+            let t = P::fetch_add(&self.ring.tail, 1);
+            if t & CLOSED_BIT != 0 {
                 return Err(CrqClosed);
             }
-            if t >= self.head.load(Ordering::SeqCst) + self.entries.len() as u64 {
+            if t >= self.ring.head.load(Ordering::SeqCst) + self.ring.entries.len() as u64 {
                 // Full lap ahead of the consumers: tantrum (CRQ-style).
                 self.close();
                 return Err(CrqClosed);
             }
-            let c = self.cycle_of(t);
-            let j = self.remap(t);
+            let c = self.ring.cycle_of(t);
+            let j = self.ring.remap(t);
             for _ in 0..FAST_ROUNDS {
                 metrics::inc(Event::NodeVisit);
                 // `Fail` = lost placement window. It costs one bounded
@@ -896,19 +801,18 @@ impl<P: FaaPolicy> WcqRing<P> {
                 if fault::inject(Site::WcqEnqueue) {
                     break;
                 }
-                let meta = self.entries[j].load_first();
-                let val = self.entries[j].load_second();
+                let (meta, val) = self.read(j);
                 if val == BOTTOM
                     && mcycle(meta) < c
                     && meta & (TENT_BIT | BOUND_BIT) == 0
-                    && (msafe(meta) || self.head.load(Ordering::SeqCst) <= t)
+                    && (msafe(meta) || self.ring.head.load(Ordering::SeqCst) <= t)
                 {
                     adversary::preempt_point();
-                    if self.entries[j]
+                    if self.ring.entries[j]
                         .compare_exchange((meta, val), (mpack(c, true, 0, REC_NONE), value))
                         .is_ok()
                     {
-                        self.arm_threshold();
+                        self.ring.arm_threshold();
                         return Ok(());
                     }
                     continue;
@@ -946,21 +850,19 @@ impl<P: FaaPolicy> WcqRing<P> {
     /// instead of abandoned (abandoning it would strand the value).
     pub fn dequeue(&self) -> Option<u64> {
         self.help_scan();
-        if self.threshold.load(Ordering::SeqCst) < 0 {
-            metrics::inc(Event::ThresholdExhausted);
+        if self.ring.exhausted() {
             return None;
         }
         for _ in 0..FAST_ATTEMPTS {
-            let h = P::fetch_add(&self.head, 1);
-            let c = self.cycle_of(h);
-            let j = self.remap(h);
+            let h = P::fetch_add(&self.ring.head, 1);
+            let c = self.ring.cycle_of(h);
+            let j = self.ring.remap(h);
             // Whether position `h` may still hold a value we own the
             // right to consume.
             let mut undecided = true;
             for _ in 0..FAST_ROUNDS {
                 metrics::inc(Event::NodeVisit);
-                let meta = self.entries[j].load_first();
-                let val = self.entries[j].load_second();
+                let (meta, val) = self.read(j);
                 if mcycle(meta) > c {
                     undecided = false;
                     break;
@@ -983,7 +885,7 @@ impl<P: FaaPolicy> WcqRing<P> {
                     if fault::inject(Site::WcqDequeue) {
                         continue; // lost window: one round, not unbounded
                     }
-                    if self.entries[j]
+                    if self.ring.entries[j]
                         .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM))
                         .is_ok()
                     {
@@ -991,24 +893,8 @@ impl<P: FaaPolicy> WcqRing<P> {
                     }
                     continue;
                 }
-                // Older cycle: SCQ transitions (empty slot up to our
-                // cycle / mark an overtaken value unsafe), then dead.
-                let was_empty = val == BOTTOM;
-                let new = if was_empty {
-                    mpack(c, msafe(meta), 0, REC_NONE)
-                } else {
-                    mpack(mcycle(meta), false, 0, mrec(meta))
-                };
-                adversary::preempt_point();
-                if self.entries[j]
-                    .compare_exchange((meta, val), (new, val))
-                    .is_ok()
-                {
-                    metrics::inc(if was_empty {
-                        Event::EmptyTransition
-                    } else {
-                        Event::UnsafeTransition
-                    });
+                // Older cycle: an SCQ transition, then dead.
+                if self.transition(j, meta, val, c) {
                     undecided = false;
                     break;
                 }
@@ -1017,16 +903,7 @@ impl<P: FaaPolicy> WcqRing<P> {
                 return self.dequeue_slow(h);
             }
             // Failed attempt at a dead position we FAA'd: SCQ accounting.
-            let t = self.tail_index();
-            if t <= h + 1 {
-                self.catchup(t, h + 1);
-                metrics::inc(Event::Faa);
-                self.threshold.fetch_sub(1, Ordering::SeqCst);
-                return None;
-            }
-            metrics::inc(Event::Faa);
-            if self.threshold.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                metrics::inc(Event::ThresholdExhausted);
+            if self.ring.spend(h) {
                 return None;
             }
         }
@@ -1045,17 +922,10 @@ impl<P: FaaPolicy> WcqRing<P> {
         // Before the record can be reused, the bound slot must be
         // scrubbed — otherwise a later occupant of this record could be
         // confused with the old bind and the value delivered twice.
+        // Result and state are final already; only the scrub is left.
         let cpos = r.claim.load_second();
         if claim_is_placed(cpos) {
-            let p = cpos & !PLACED_BIT;
-            let c = self.cycle_of(p);
-            let j = self.remap(p);
-            let meta = self.entries[j].load_first();
-            let val = self.entries[j].load_second();
-            if mcycle(meta) == c && meta & BOUND_BIT != 0 && mrec(meta) == i as u64 {
-                let _ = self.entries[j]
-                    .compare_exchange((meta, val), (mpack(c, msafe(meta), 0, REC_NONE), BOTTOM));
-            }
+            self.finish_bound_dequeue(i, seq, cpos & !PLACED_BIT);
         }
         let v = r.result.load_second();
         debug_assert_eq!(r.result.load_first(), (seq << 1) | 1, "DONE without result");

@@ -53,39 +53,70 @@ pub fn mpmc_stress_relaxed<Q: ConcurrentQueue>(
     per_producer: u64,
     relaxation: u64,
 ) {
+    run_and_check(
+        producers,
+        consumers,
+        per_producer,
+        relaxation,
+        |p| {
+            for seq in 0..per_producer {
+                queue.enqueue(encode(p, seq));
+            }
+        },
+        |got| queue.dequeue().map(|v| got.push(v)).is_some() as usize,
+    )
+}
+
+/// The harness both stress tests share: `producers` threads each run
+/// `produce(p)`, `consumers` threads call `take` (append to the stream,
+/// return how many were appended) until `producers * per_producer` items
+/// are out. Then checks the run:
+///
+/// 1. every enqueued item is dequeued exactly once (no loss, no
+///    duplication);
+/// 2. each consumer's stream sees each producer's items in order, up to
+///    `relaxation`;
+/// 3. the queue is drained: one more `take` finds nothing.
+///
+/// Panics on any violation.
+fn run_and_check(
+    producers: usize,
+    consumers: usize,
+    per_producer: u64,
+    relaxation: u64,
+    produce: impl Fn(usize) + Sync,
+    take: impl Fn(&mut Vec<u64>) -> usize + Sync,
+) {
     assert!(producers > 0 && consumers > 0);
     let total = producers as u64 * per_producer;
     let dequeued = AtomicU64::new(0);
     let barrier = Barrier::new(producers + consumers);
 
-    let barrier = &barrier;
-    let dequeued = &dequeued;
+    let (barrier, dequeued, produce, take) = (&barrier, &dequeued, &produce, &take);
     let all: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut consumer_handles = Vec::new();
         for p in 0..producers {
             s.spawn(move || {
                 barrier.wait();
-                for seq in 0..per_producer {
-                    queue.enqueue(encode(p, seq));
-                }
+                produce(p);
             });
         }
-        for _ in 0..consumers {
-            consumer_handles.push(s.spawn(move || {
-                barrier.wait();
-                let mut got = Vec::new();
-                while dequeued.load(Ordering::Relaxed) < total {
-                    match queue.dequeue() {
-                        Some(v) => {
-                            dequeued.fetch_add(1, Ordering::Relaxed);
-                            got.push(v);
+        let consumer_handles: Vec<_> = (0..consumers)
+            .map(|_| {
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut got = Vec::new();
+                    while dequeued.load(Ordering::Relaxed) < total {
+                        match take(&mut got) {
+                            0 => std::thread::yield_now(),
+                            n => {
+                                dequeued.fetch_add(n as u64, Ordering::Relaxed);
+                            }
                         }
-                        None => std::thread::yield_now(),
                     }
-                }
-                got
-            }));
-        }
+                    got
+                })
+            })
+            .collect();
         consumer_handles
             .into_iter()
             .map(|h| h.join().unwrap())
@@ -124,8 +155,8 @@ pub fn mpmc_stress_relaxed<Q: ConcurrentQueue>(
         }
     }
 
-    // Queue must now be empty.
-    assert_eq!(queue.dequeue(), None, "queue should be drained");
+    // 3. The queue must now be empty.
+    assert_eq!(take(&mut Vec::new()), 0, "queue should be drained");
 }
 
 /// Multi-producer multi-consumer stress test over the *batch* API.
@@ -163,80 +194,23 @@ pub fn mpmc_batch_stress_relaxed<Q: ConcurrentQueue>(
     batch: usize,
     relaxation: u64,
 ) {
-    assert!(producers > 0 && consumers > 0 && batch > 0);
-    let total = producers as u64 * per_producer;
-    let dequeued = AtomicU64::new(0);
-    let barrier = Barrier::new(producers + consumers);
-
-    let barrier = &barrier;
-    let dequeued = &dequeued;
-    let all: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut consumer_handles = Vec::new();
-        for p in 0..producers {
-            s.spawn(move || {
-                barrier.wait();
-                let mut seq = 0u64;
-                while seq < per_producer {
-                    let n = (batch as u64).min(per_producer - seq);
-                    let vals: Vec<u64> = (seq..seq + n).map(|i| encode(p, i)).collect();
-                    queue.enqueue_batch(&vals);
-                    seq += n;
-                }
-            });
-        }
-        for _ in 0..consumers {
-            consumer_handles.push(s.spawn(move || {
-                barrier.wait();
-                let mut got = Vec::new();
-                while dequeued.load(Ordering::Relaxed) < total {
-                    let taken = queue.dequeue_batch(&mut got, batch);
-                    if taken > 0 {
-                        dequeued.fetch_add(taken as u64, Ordering::Relaxed);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                got
-            }));
-        }
-        consumer_handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-
-    // 1. Exactly-once delivery.
-    let mut seen: Vec<u64> = all.iter().flatten().copied().collect();
-    assert_eq!(seen.len() as u64, total, "lost or duplicated items");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, total, "duplicated items");
-
-    // 2. Per-producer order within each consumer's local stream, up to the
-    // allowed relaxation.
-    for stream in &all {
-        let mut max_seen: std::collections::HashMap<usize, u64> = Default::default();
-        for &v in stream {
-            let (p, seq) = decode(v);
-            if let Some(&prev) = max_seen.get(&p) {
-                // `>=` not `>`: see mpmc_stress_relaxed.
-                assert!(
-                    seq.saturating_add(relaxation) >= prev,
-                    "consumer observed producer {p} out of order beyond the \
-                     relaxation bound {relaxation}: {seq} after {prev}"
-                );
+    assert!(batch > 0);
+    run_and_check(
+        producers,
+        consumers,
+        per_producer,
+        relaxation,
+        |p| {
+            let mut seq = 0u64;
+            while seq < per_producer {
+                let n = (batch as u64).min(per_producer - seq);
+                let vals: Vec<u64> = (seq..seq + n).map(|i| encode(p, i)).collect();
+                queue.enqueue_batch(&vals);
+                seq += n;
             }
-            let slot = max_seen.entry(p).or_insert(0);
-            *slot = (*slot).max(seq);
-        }
-    }
-
-    let mut rest = Vec::new();
-    assert_eq!(
-        queue.dequeue_batch(&mut rest, 1),
-        0,
-        "queue should be drained"
-    );
+        },
+        |got| queue.dequeue_batch(got, batch),
+    )
 }
 
 /// Sequential model check mixing scalar and batch operations against a

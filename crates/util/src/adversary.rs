@@ -99,9 +99,18 @@ pub fn preempt_point() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    // The preempt probability is process-global: a test that arms it must
+    // not overlap one that asserts it is disarmed.
+    static PPM_LOCK: Mutex<()> = Mutex::new(());
+    fn ppm_guard() -> MutexGuard<'static, ()> {
+        PPM_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_by_default_and_cheap() {
+        let _g = ppm_guard();
         assert_eq!(preempt_ppm(), 0);
         for _ in 0..10_000 {
             preempt_point(); // must be a near-noop
@@ -128,6 +137,7 @@ mod tests {
 
     #[test]
     fn arming_and_clamping() {
+        let _g = ppm_guard();
         set_preempt_ppm(2_000_000);
         assert_eq!(preempt_ppm(), 1_000_000);
         set_preempt_ppm(500);
